@@ -14,7 +14,6 @@ from .problem import (
     clip,
     default_domain,
     make_benchmark,
-    sample_uniform,
 )
 from .runtime import (
     PowerEstimate,
@@ -37,7 +36,6 @@ __all__ = [
     "clip",
     "default_domain",
     "make_benchmark",
-    "sample_uniform",
     "PowerEstimate",
     "RunAbort",
     "RunConfig",

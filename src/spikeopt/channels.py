@@ -2,9 +2,12 @@
 
 A ``Slot`` holds the latest value written to it; writes never block and
 overwrite silently, readers either block for a value fresher than the one
-they last saw or peek at whatever is present. A ``Mailbox`` is the many-to-one
-variant used by the row-update collectors: one pending value per sender,
-drained in ascending sender order.
+they last saw or peek at whatever is present. A run uses two slots per unit
+(core to selector, selector reply to core) and five population-level ones.
+A ``Mailbox`` is the many-to-one variant behind the two row-update
+collectors: every core puts its spike row into one, every selector its best
+row into the other; one pending value per sender, drained in ascending
+sender order.
 """
 
 from __future__ import annotations

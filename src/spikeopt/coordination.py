@@ -1,14 +1,14 @@
 """Population-level coordination: spike propagation, neighbourhoods, global best.
 
-Spike activity travels over a boolean adjacency matrix replicated across
-dimensions and contracted against the population spike matrix; positional
-information travels over a separate boolean graph whose rows define each
-unit's neighbourhood.
+Spike activity travels over a boolean adjacency matrix, applied to every
+column (dimension) of the population spike matrix by one boolean matrix
+product; positional information travels over a separate boolean graph whose
+rows define each unit's neighbourhood.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -32,7 +32,6 @@ class SpikeTopology:
     """Boolean synapse graph; no self-connections."""
 
     W_s: np.ndarray
-    _tensor_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         W = np.asarray(self.W_s, dtype=bool)
@@ -45,12 +44,6 @@ class SpikeTopology:
     @property
     def n(self) -> int:
         return self.W_s.shape[0]
-
-    def weight_tensor(self, d: int) -> np.ndarray:
-        """The (n, n, d) weight tensor: the adjacency replicated per dimension."""
-        if d not in self._tensor_cache:
-            self._tensor_cache[d] = np.repeat(self.W_s[:, :, None], d, axis=2)
-        return self._tensor_cache[d]
 
 
 @dataclass
@@ -89,13 +82,13 @@ class GlobalBest:
 
 
 def tensor_contract(topology: SpikeTopology, S: np.ndarray) -> np.ndarray:
-    """Activation matrix A[i, j] = OR_k (W[i, k, j] AND S[k, j])."""
+    """Activation matrix A[i, j] = OR_k (W[i, k] AND S[k, j])."""
     S = np.asarray(S, dtype=bool)
     n = topology.n
     if S.ndim != 2 or S.shape[0] != n:
         raise ValueError(f"spike matrix must have shape ({n}, d), got {S.shape}")
-    W = topology.weight_tensor(S.shape[1])
-    return np.einsum("ikj,kj->ij", W.astype(np.uint8), S.astype(np.uint8)) > 0
+    # a boolean matmul ORs the ANDs, so no spike count can overflow
+    return topology.W_s @ S
 
 
 def high_level_selector_step(

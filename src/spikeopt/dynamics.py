@@ -15,7 +15,6 @@ from typing import Union
 import numpy as np
 
 __all__ = [
-    "STATE_DIM",
     "LinearModel",
     "IzhikevichModel",
     "LIFModel",
@@ -28,8 +27,6 @@ __all__ = [
     "random_linear_model",
     "LINEAR_STABILITY_CLASSES",
 ]
-
-STATE_DIM = 2
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,6 @@ class LIFModel:
 
     tau_m: float = 10.0
     v_rest: float = -65.0
-    v_th: float = 30.0
     i_syn: float = 0.0
 
     def __post_init__(self):

@@ -24,7 +24,6 @@ __all__ = [
     "SpikeContext",
     "threshold",
     "phi_s",
-    "phi",
     "apply_spike_rule",
     "binomial_crossover",
 ]
@@ -137,18 +136,6 @@ def phi_s(
         else:
             out = norm >= cond.theta_repeller
     return bool(out) if np.ndim(out) == 0 else out
-
-
-def phi(
-    cond: SpikeCondition,
-    v: np.ndarray,
-    t: int,
-    theta: np.ndarray | float,
-    activation_j: np.ndarray | bool,
-    model_trace: Optional[float] = None,
-) -> np.ndarray | bool:
-    """Full firing predicate: self condition OR neighbour-induced activation."""
-    return phi_s(cond, v, t, theta, model_trace) | np.asarray(activation_j, dtype=bool)
 
 
 @dataclass(frozen=True)

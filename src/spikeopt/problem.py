@@ -19,7 +19,6 @@ __all__ = [
     "ObjectiveFunction",
     "BENCHMARK_NAMES",
     "default_domain",
-    "sample_uniform",
     "clip",
     "make_benchmark",
 ]
@@ -57,11 +56,6 @@ def default_domain(dimension: int) -> SearchDomain:
     )
 
 
-def sample_uniform(domain: SearchDomain, rng: np.random.Generator) -> np.ndarray:
-    """Draw one position uniformly inside the box."""
-    return rng.uniform(domain.lower, domain.upper)
-
-
 def clip(domain: SearchDomain, x: np.ndarray) -> np.ndarray:
     """Componentwise projection onto the box."""
     x = np.asarray(x, dtype=float)
@@ -76,8 +70,9 @@ def clip(domain: SearchDomain, x: np.ndarray) -> np.ndarray:
 class ObjectiveFunction:
     """A scalar objective with an evaluation counter.
 
-    The counter update is lock-protected so several concurrently running
-    selectors can share one instance without losing counts.
+    Only the counter update is lock-protected: several concurrently running
+    selectors share one instance without losing counts, and their evaluator
+    calls still run side by side.
     """
 
     identifier: str
@@ -96,7 +91,7 @@ class ObjectiveFunction:
             )
         with self._lock:
             self.evaluation_count += 1
-            return float(self.evaluator(x))
+        return float(self.evaluator(x))
 
 
 def _sphere(z: np.ndarray) -> float:
@@ -132,16 +127,18 @@ _SCHWEFEL_VALUE = float(_SCHWEFEL_OFFSET * np.sin(np.sqrt(_SCHWEFEL_OFFSET)))
 
 def _schwefel(z: np.ndarray) -> float:
     # z in box units; map to the +-500 landscape with the optimum at w = offset,
-    # clamp outside it and add a quadratic penalty so fitness stays >= 0
+    # clamp outside it and add a quadratic penalty; the stored offset is only
+    # near the true maximiser, so floor at 0 to keep fitness >= 0 in floats
     w = 100.0 * z + _SCHWEFEL_OFFSET
     w_in = np.clip(w, -500.0, 500.0)
     excess = np.abs(w) - 500.0
     penalty = np.sum(np.maximum(excess, 0.0) ** 2)
-    return float(
+    value = (
         _SCHWEFEL_VALUE * z.size
         - np.sum(w_in * np.sin(np.sqrt(np.abs(w_in))))
         + 100.0 * penalty
     )
+    return float(max(value, 0.0))
 
 
 def _make_attractive_sector(shift: np.ndarray) -> Callable[[np.ndarray], float]:

@@ -1,11 +1,22 @@
 """Execution substrate: run configurations, the two drivers, traces, and cost models.
 
-A run wires n units (five cooperating sub-processes each) to three
-coordination processes plus two row-update collectors. The deterministic
-driver sweeps every process in a fixed order once per step, so equal seeds
-give bit-identical traces. The concurrent driver runs every process as a
-thread exchanging messages over capacity-1 latest-wins channels; progress is
-paced only by each core waiting for its own selector's reply.
+A run wires n units to three coordination processes (tensor contraction,
+neighbour manager, high-level selector) plus two row-update collectors. A
+unit is two processes, its spiking core and its selector. The unit's three
+I/O peripherals are calls made by those two: the core calls its receiver
+before each step and its spike handler after it, the selector calls its
+sender after each evaluation.
+
+The deterministic driver sweeps every process in a fixed order once per step
+over (n, d) population arrays, so equal seeds give bit-identical traces. At
+step t a core reads the contraction of the spikes of step t-2, its own best
+from step t-1, and the global best and neighbourhood computed from the
+selections of step t-2.
+
+The concurrent driver runs every process as a thread, 2n + 5 in all,
+exchanging messages over capacity-1 latest-wins channels; a core reads the
+latest broadcasts, and progress is paced only by each core waiting for its
+own selector's reply.
 """
 
 from __future__ import annotations
@@ -14,7 +25,6 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -393,7 +403,6 @@ def _build_model(spec: UnitSpec, rng: np.random.Generator) -> dynamics.DynamicsM
         return dynamics.LIFModel(
             tau_m=params.get("tau_m", 10.0),
             v_rest=params.get("v_rest", -65.0),
-            v_th=params.get("v_th", 30.0),
             i_syn=params.get("i_syn", 0.0),
         )
     raise ConfigError(f"unknown dynamics model {spec.model!r}")
@@ -502,7 +511,7 @@ def _gather_events(built: _Built) -> Tuple[List[str], int]:
 
 
 def _run_deterministic(built: _Built) -> RunTrace:
-    cfg = built.cfg
+    cfg, domain, objective = built.cfg, built.domain, built.objective
     n, d, budget = cfg.n, cfg.dimension, cfg.budget
     tracer = _Tracer(n, budget, d, full_state=(cfg.log == "full-state"))
     if tracer.snapshots is not None:
@@ -512,88 +521,71 @@ def _run_deterministic(built: _Built) -> RunTrace:
         ]
 
     gbest = coordination.GlobalBest()
-    # latches: values delivered at the end of the previous sweep
-    A_latch = np.zeros((n, d), dtype=bool)
-    a_latch = [np.zeros(d, dtype=bool) for _ in range(n)]
-    g_latch: Optional[Tuple[np.ndarray, float]] = None
-    sel_latch: List[Optional[Tuple[np.ndarray, float]]] = [None] * n
-    recv_latch: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * n
-    S_matrix = np.zeros((n, d), dtype=bool)
-    P_matrix = np.zeros((n, d))
-    f_vec = np.full(n, np.inf)
-    have_P = False
+    # what the cores read at step t, delivered at the end of sweep t-1:
+    # `a` is the contraction of the spikes of step t-2, `P_sel`/`f_sel` are the
+    # selections of step t-1, and `g` and `nm` (the neighbourhood tensors) were
+    # computed from the selections of step t-2
+    a = np.zeros((n, d), dtype=bool)
+    P_sel = np.zeros((n, d))
+    f_sel = np.full(n, np.inf)
+    g: Optional[Tuple[np.ndarray, float]] = None
+    nm: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    A = np.zeros((n, d), dtype=bool)  # contraction of the spikes of step t-1
+    # population stores written row by row by the handlers and the senders
+    S = np.zeros((n, d), dtype=bool)
+    P = np.zeros((n, d))
+    f = np.full(n, np.inf)
+    X = np.zeros((n, d))
 
     wall_rows = np.zeros(budget + 1)
 
     def sweep(t: int) -> None:
-        nonlocal A_latch, g_latch, have_P
-        spikes_now: List[np.ndarray] = []
-        xs_now: List[np.ndarray] = []
-        # spiking cores
-        for bu in built.units:
+        nonlocal a, P_sel, f_sel, g, nm, A
+        a_next = np.empty((n, d), dtype=bool)
+        # spiking cores, each with its receiver before and its handler after the step
+        for i, bu in enumerate(built.units):
             state = bu.core_state
             if t == 0:
                 s_i, x_i = state.s, state.x
-                tracer.record_x0(state.unit_id, state.x)
+                tracer.record_x0(i, x_i)
             else:
-                p_latched = sel_latch[state.unit_id]
-                g_val, f_g_val = g_latch if g_latch is not None else (None, None)
-                pn = recv_latch[state.unit_id]
+                P_n, f_pn = unit.receiver_step(state, *nm) if nm else (None, None)
+                g_val, f_g_val = g or (None, None)
                 inputs = unit.CoreInputs(
-                    a=a_latch[state.unit_id],
+                    a=a[i],
                     g=g_val,
                     f_g=f_g_val,
-                    p=p_latched[0],
-                    f_p=p_latched[1],
-                    P_n=None if pn is None else pn[0],
-                    f_pn=None if pn is None else pn[1],
+                    p=P_sel[i],
+                    f_p=f_sel[i],
+                    P_n=P_n,
+                    f_pn=f_pn,
                 )
                 t0 = time.perf_counter()
-                s_i, x_i = unit.spiking_core_step(state, bu.params, built.domain, inputs)
-                tracer.record_core(state.unit_id, t, state, time.perf_counter() - t0)
-            spikes_now.append(s_i)
-            xs_now.append(x_i)
-        # spiking handlers and senders
-        a_new = []
-        for bu, s_i in zip(built.units, spikes_now):
-            row, a_i = unit.spiking_handler_step(bu.core_state, s_i, A_latch)
-            S_matrix[row[0]] = row[1]
-            a_new.append(a_i)
-        for bu in built.units:
-            latched = sel_latch[bu.core_state.unit_id]
-            if latched is not None:
-                p_row, f_row = unit.sender_step(bu.core_state, latched[0], latched[1])
-                P_matrix[p_row[0]] = p_row[1]
-                f_vec[f_row[0]] = f_row[1]
-                have_P = True
-        # tensor contraction, neighbour manager, high-level selector
-        A_next = coordination.tensor_contract(built.spike_topology, S_matrix)
-        nm_out = (
-            coordination.neighbour_manager_step(built.info_topology, P_matrix, f_vec)
-            if have_P
-            else None
-        )
-        g_next = (
-            coordination.high_level_selector_step(gbest, P_matrix, f_vec)
-            if have_P
-            else None
-        )
+                s_i, x_i = unit.spiking_core_step(state, bu.params, domain, inputs)
+                tracer.record_core(i, t, state, time.perf_counter() - t0)
+            row, a_next[i] = unit.spiking_handler_step(state, s_i, A)
+            S[row[0]] = row[1]
+            X[i] = x_i
+        # senders, tensor contraction, neighbour manager, high-level selector
+        A_next = coordination.tensor_contract(built.spike_topology, S)
+        if t > 0:
+            for i, bu in enumerate(built.units):
+                p_row, f_row = unit.sender_step(bu.core_state, P_sel[i], f_sel[i])
+                P[p_row[0]] = p_row[1]
+                f[f_row[0]] = f_row[1]
+            nm_next = coordination.neighbour_manager_step(built.info_topology, P, f)
+            g_next = coordination.high_level_selector_step(gbest, P, f)
         # selectors
-        for bu, x_i in zip(built.units, xs_now):
-            p_i, f_p_i = unit.selector_step(bu.selector_state, x_i, built.objective)
-            sel_latch[bu.core_state.unit_id] = (p_i.copy(), f_p_i)
-            tracer.record_best(bu.core_state.unit_id, t, f_p_i)
-        # receivers and delivery
-        if nm_out is not None:
-            for bu in built.units:
-                recv_latch[bu.core_state.unit_id] = unit.receiver_step(
-                    bu.core_state, nm_out[0], nm_out[1]
-                )
-        for i in range(n):
-            a_latch[i] = a_new[i]
-        A_latch = A_next
-        if g_next is not None:
-            g_latch = (g_next[0].copy(), g_next[1])
+        P_next = np.empty((n, d))
+        f_next = np.empty(n)
+        for i, bu in enumerate(built.units):
+            P_next[i], f_next[i] = unit.selector_step(bu.selector_state, X[i], objective)
+            tracer.record_best(i, t, f_next[i])
+        # delivery
+        a, A = a_next, A_next
+        P_sel, f_sel = P_next, f_next
+        if t > 0:
+            nm, g = nm_next, (g_next[0].copy(), g_next[1])
 
     try:
         for t in range(budget + 1):
@@ -634,15 +626,13 @@ class _AsyncRun:
 
         self.x_slots = [Slot(f"x[{i}]") for i in range(n)]
         self.reply_slots = [Slot(f"p[{i}]") for i in range(n)]
-        self.s_slots = [Slot(f"s[{i}]") for i in range(n)]
-        self.a_slots = [Slot(f"a[{i}]") for i in range(n)]
-        self.recv_slots = [Slot(f"pn[{i}]") for i in range(n)]
-        self.sender_slots = [Slot(f"send[{i}]") for i in range(n)]
         self.spike_mailbox = Mailbox("spikes")
         self.best_mailbox = Mailbox("bests")
         self.S_slot = Slot("S")
         self.P_slot = Slot("P")
         self.A_bcast = Slot("A")
+        # no unit is activated before the first contraction arrives
+        self.A_bcast.put(np.zeros((n, d), dtype=bool))
         self.g_bcast = Slot("g")
         self.nm_bcast = Slot("Pn")
         self.threads: List[threading.Thread] = []
@@ -665,10 +655,6 @@ class _AsyncRun:
         for slot in (
             *self.x_slots,
             *self.reply_slots,
-            *self.s_slots,
-            *self.a_slots,
-            *self.recv_slots,
-            *self.sender_slots,
             self.S_slot,
             self.P_slot,
             self.A_bcast,
@@ -682,34 +668,36 @@ class _AsyncRun:
     # -- actor loops
 
     def core_loop(self, bu: _BuiltUnit) -> None:
-        cfg = self.built.cfg
-        i = bu.core_state.unit_id
+        """Step one core; its receiver runs before each step and its handler after."""
+        state, domain = bu.core_state, self.built.domain
+        i = state.unit_id
         try:
-            self.tracer.record_x0(i, bu.core_state.x)
-            self.s_slots[i].put(bu.core_state.s.copy())
-            self.x_slots[i].put((0, bu.core_state.x.copy()))
+            s_i, x_i = state.s, state.x
+            self.tracer.record_x0(i, x_i)
             last_reply = 0
-            for t in range(1, cfg.budget + 1):
-                reply, last_reply = self.reply_slots[i].get_fresh(last_reply)
-                _, p_val, f_p_val = reply
-                a_val, _ = self.a_slots[i].peek()
-                g_pair, _ = self.g_bcast.peek()
-                pn_pair, _ = self.recv_slots[i].peek()
-                inputs = unit.CoreInputs(
-                    a=a_val,
-                    g=None if g_pair is None else g_pair[0],
-                    f_g=None if g_pair is None else g_pair[1],
-                    p=p_val,
-                    f_p=f_p_val,
-                    P_n=None if pn_pair is None else pn_pair[0],
-                    f_pn=None if pn_pair is None else pn_pair[1],
-                )
-                t0 = time.perf_counter()
-                s_i, x_i = unit.spiking_core_step(
-                    bu.core_state, bu.params, self.built.domain, inputs
-                )
-                self.tracer.record_core(i, t, bu.core_state, time.perf_counter() - t0)
-                self.s_slots[i].put(s_i.copy())
+            for t in range(self.built.cfg.budget + 1):
+                if t > 0:
+                    reply, last_reply = self.reply_slots[i].get_fresh(last_reply)
+                    _, p_val, f_p_val = reply
+                    g, _ = self.g_bcast.peek()
+                    g_val, f_g_val = g or (None, None)
+                    nm, _ = self.nm_bcast.peek()
+                    P_n, f_pn = unit.receiver_step(state, *nm) if nm else (None, None)
+                    inputs = unit.CoreInputs(
+                        a=a_val,
+                        g=g_val,
+                        f_g=f_g_val,
+                        p=p_val,
+                        f_p=f_p_val,
+                        P_n=P_n,
+                        f_pn=f_pn,
+                    )
+                    t0 = time.perf_counter()
+                    s_i, x_i = unit.spiking_core_step(state, bu.params, domain, inputs)
+                    self.tracer.record_core(i, t, state, time.perf_counter() - t0)
+                A_val, _ = self.A_bcast.peek()
+                row, a_val = unit.spiking_handler_step(state, s_i, A_val)
+                self.spike_mailbox.put(*row)
                 self.x_slots[i].put((t, x_i.copy()))
                 if self.stop.is_set():
                     return
@@ -719,6 +707,7 @@ class _AsyncRun:
             self.fail(f"core {i}", exc)
 
     def selector_loop(self, bu: _BuiltUnit) -> None:
+        """Evaluate each emitted position, reply to the core, and send the best on."""
         cfg = self.built.cfg
         i = bu.selector_state.unit_id
         try:
@@ -728,56 +717,13 @@ class _AsyncRun:
                 p, f_p = unit.selector_step(bu.selector_state, x, self.built.objective)
                 self.tracer.record_best(i, t, f_p)
                 self.reply_slots[i].put((t, p.copy(), f_p))
-                self.sender_slots[i].put((t, p.copy(), f_p))
+                p_row, f_row = unit.sender_step(bu.selector_state, p, f_p)
+                self.best_mailbox.put(i, (p_row[1], f_row[1]))
             self._selector_finished()
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001
             self.fail(f"selector {i}", exc)
-
-    def handler_loop(self, i: int) -> None:
-        state = SimpleNamespace(unit_id=i)
-        n, d = self.built.cfg.n, self.built.cfg.dimension
-        zero_A = np.zeros((n, d), dtype=bool)
-        try:
-            last = 0
-            while not self.stop.is_set():
-                s, last = self.s_slots[i].get_fresh(last)
-                A_val, _ = self.A_bcast.peek()
-                row, a = unit.spiking_handler_step(
-                    state, s, zero_A if A_val is None else A_val
-                )
-                self.spike_mailbox.put(i, row[1])
-                self.a_slots[i].put(a)
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail(f"handler {i}", exc)
-
-    def sender_loop(self, i: int) -> None:
-        state = SimpleNamespace(unit_id=i)
-        try:
-            last = 0
-            while not self.stop.is_set():
-                (t, p, f_p), last = self.sender_slots[i].get_fresh(last)
-                p_row, f_row = unit.sender_step(state, p, f_p)
-                self.best_mailbox.put(i, (p_row[1], f_row[1]))
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail(f"sender {i}", exc)
-
-    def receiver_loop(self, i: int) -> None:
-        state = SimpleNamespace(unit_id=i)
-        try:
-            last = 0
-            while not self.stop.is_set():
-                (pn, fn), last = self.nm_bcast.get_fresh(last)
-                self.recv_slots[i].put(unit.receiver_step(state, pn, fn))
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail(f"receiver {i}", exc)
 
     def spike_collector_loop(self) -> None:
         n, d = self.built.cfg.n, self.built.cfg.dimension
@@ -854,13 +800,10 @@ class _AsyncRun:
 
     def execute(self, timeout_s: Optional[float]) -> RunTrace:
         cfg = self.built.cfg
+        # two threads per unit plus five population-level ones: 2n + 5 in all
         for bu in self.built.units:
-            i = bu.core_state.unit_id
             self.threads.append(threading.Thread(target=self.core_loop, args=(bu,)))
             self.threads.append(threading.Thread(target=self.selector_loop, args=(bu,)))
-            self.threads.append(threading.Thread(target=self.handler_loop, args=(i,)))
-            self.threads.append(threading.Thread(target=self.sender_loop, args=(i,)))
-            self.threads.append(threading.Thread(target=self.receiver_loop, args=(i,)))
         for target in (
             self.spike_collector_loop,
             self.best_collector_loop,

@@ -4,9 +4,13 @@ Each member owns per-dimension 2-component neuron states. A step encodes the
 current position around a freshly computed reference point, evaluates the
 firing predicate per dimension, then either integrates the sub-threshold
 dynamics or applies the spike-triggered perturbation, and finally decodes and
-clips the new position. The selector evaluates emitted positions greedily;
-handler, sender, and receiver translate between local vectors and the
-population-level matrices.
+clips the new position. The selector evaluates emitted positions greedily.
+
+The peripherals are plain functions, not processes: the spike handler and the
+receiver are called by the unit's core (after and before its step), the
+sender by its selector. Each is the one place where a local vector becomes a
+row of a population matrix, or a slice of a neighbourhood tensor becomes
+local inputs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ __all__ = [
     "UnitParams",
     "CoreInputs",
     "UnitAbortError",
-    "RowUpdate",
     "init_unit_state",
     "spiking_core_step",
     "selector_step",
@@ -50,10 +53,6 @@ __all__ = [
 
 class UnitAbortError(RuntimeError):
     """Raised when a core produces a non-finite state."""
-
-
-# (unit_id, payload) wire message written into one row of a shared matrix
-RowUpdate = Tuple[int, np.ndarray]
 
 
 @dataclass
@@ -237,7 +236,7 @@ def spiking_handler_step(
     state: UnitState,
     s: np.ndarray,
     A: np.ndarray,
-) -> Tuple[RowUpdate, np.ndarray]:
+) -> Tuple[Tuple[int, np.ndarray], np.ndarray]:
     """Encode the local spikes as a row update and pull the unit's activations."""
     s = np.asarray(s, dtype=bool)
     A = np.asarray(A, dtype=bool)
@@ -253,7 +252,7 @@ def sender_step(
     state: UnitState,
     p: np.ndarray,
     f_p: float,
-) -> Tuple[RowUpdate, Tuple[int, float]]:
+) -> Tuple[Tuple[int, np.ndarray], Tuple[int, float]]:
     """Row updates placing the unit's best into the shared position/fitness stores."""
     return (state.unit_id, np.asarray(p, dtype=float).copy()), (state.unit_id, float(f_p))
 

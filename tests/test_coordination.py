@@ -90,12 +90,11 @@ class TestTensorContract:
         with pytest.raises(ValueError):
             tensor_contract(build_ring(4), np.zeros((5, 2), dtype=bool))
 
-    def test_weight_tensor_replicates_adjacency(self):
-        topo = build_ring(5)
-        W = topo.weight_tensor(3)
-        assert W.shape == (5, 5, 3)
-        for j in range(3):
-            assert np.array_equal(W[:, :, j], topo.W_s)
+    def test_256_spiking_neighbours_still_activate(self):
+        # every unit of a full 257-unit graph has exactly 256 spiking neighbours;
+        # a count kept in 8 bits wraps to 0 there
+        S = np.ones((257, 2), dtype=bool)
+        assert np.all(tensor_contract(build_full_spike(257), S))
 
 
 class TestTopologyBuilders:

@@ -11,7 +11,6 @@ from spikeopt.heuristics import (
     ThresholdRule,
     apply_spike_rule,
     binomial_crossover,
-    phi,
     phi_s,
     threshold,
 )
@@ -94,17 +93,6 @@ class TestPhiS:
         v = np.array([[0.5, 0.0], [3.0, 0.0]])
         out = phi_s(cond, v, 0, np.array([1.0, 1.0]))
         assert np.array_equal(out, [False, True])
-
-
-class TestPhi:
-    @pytest.mark.parametrize(
-        "self_fires,activated,expected",
-        [(False, False, False), (False, True, True), (True, False, True), (True, True, True)],
-    )
-    def test_truth_table(self, self_fires, activated, expected):
-        cond = SpikeCondition("abs_threshold")
-        v = np.array([10.0 if self_fires else 0.0, 0.0])
-        assert phi(cond, v, 0, 1.0, activated) == expected
 
 
 class TestSpikeRules:

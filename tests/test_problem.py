@@ -1,15 +1,18 @@
 """Benchmark suite, bound handling, and evaluation-counter contracts."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from spikeopt.problem import (
     BENCHMARK_NAMES,
+    ObjectiveFunction,
     SearchDomain,
     clip,
     default_domain,
     make_benchmark,
-    sample_uniform,
 )
 
 
@@ -48,6 +51,54 @@ class TestEvaluate:
         f.evaluate(np.array([1.0, 2.0]))
         assert f.evaluation_count == 2
 
+    def test_concurrent_evaluations_overlap(self):
+        # each evaluator call waits for the other one, so the calls must run
+        # at the same time: holding the counter lock around them deadlocks
+        barrier = threading.Barrier(2, timeout=2)
+
+        def evaluator(x):
+            barrier.wait()
+            return float(np.sum(x))
+
+        f = ObjectiveFunction(identifier="meet", evaluator=evaluator, dimension=2)
+        errors = []
+
+        def call():
+            try:
+                f.evaluate(np.zeros(2))
+            except threading.BrokenBarrierError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+        assert not any(th.is_alive() for th in threads)
+        assert not errors
+        assert f.evaluation_count == 2
+
+    def test_concurrent_counts_are_not_lost(self):
+        f = zero_shifted("sphere", 2)
+        x = np.array([1.0, 2.0])
+
+        def calls():
+            for _ in range(500):
+                f.evaluate(x)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=calls) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert f.evaluation_count == 8 * 500
+
     def test_pure_for_fixed_input(self):
         f = make_benchmark("rastrigin", 3, seed=9)
         x = np.array([0.3, -1.2, 2.5])
@@ -78,8 +129,14 @@ class TestBenchmarkConstruction:
         f = make_benchmark(name, d, seed=11)
         domain = default_domain(d)
         for _ in range(200):
-            x = sample_uniform(domain, rng)
+            x = rng.uniform(domain.lower, domain.upper)
             assert f.evaluate(x) >= f.evaluate(f.optimum_position) - 1e-12
+        # next to the shift (|offset| from 1e-12 to 1e-6) the fitness must not
+        # dip below the declared optimum, not even by rounding
+        for _ in range(200):
+            radius = 10.0 ** rng.uniform(-12.0, -6.0)
+            x = f.optimum_position + radius * rng.uniform(-1.0, 1.0, size=d)
+            assert f.evaluate(x) >= f.optimum_value
 
     def test_shift_is_seeded(self):
         a = make_benchmark("sphere", 4, seed=1)
@@ -97,18 +154,6 @@ class TestDomain:
     def test_bound_length_must_match_dimension(self):
         with pytest.raises(ValueError):
             SearchDomain(dimension=3, lower=np.zeros(2), upper=np.ones(2))
-
-    def test_sample_within_bounds(self, rng):
-        domain = default_domain(5)
-        for _ in range(50):
-            x = sample_uniform(domain, rng)
-            assert np.all(x >= domain.lower) and np.all(x <= domain.upper)
-
-    def test_sample_deterministic_for_seed(self):
-        domain = default_domain(3)
-        a = sample_uniform(domain, np.random.default_rng(42))
-        b = sample_uniform(domain, np.random.default_rng(42))
-        assert np.array_equal(a, b)
 
     def test_clip_examples(self):
         domain = default_domain(1)

@@ -1,5 +1,7 @@
 """Run drivers, trace contracts, the energy model, and scaling measurement."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,22 @@ class TestConcurrentRuns:
         assert trace.steps == 30
         assert trace.evaluations == 4 * 31
         assert_trace_monotone(trace)
+
+    def test_thread_bound(self, monkeypatch):
+        # a core and a selector per unit, plus two collectors and three
+        # coordination processes; none outlives the run
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(self):
+            started.append(self)
+            real_start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        cfg = small_config(mode="async", budget=20)
+        run(cfg, timeout_s=60)
+        assert len(started) == 2 * cfg.n + 5
+        assert not any(th.is_alive() for th in started)
 
     def test_final_no_worse_than_start(self):
         trace = run(small_config(mode="async", budget=50), timeout_s=60)
