@@ -111,34 +111,26 @@ def high_level_selector_step(
     return state.g, state.f_g
 
 
-def neighbour_manager_step(
-    topology: InfoTopology,
-    P: np.ndarray,
-    f_p: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Group best positions and fitness by neighbourhood.
+def neighbour_manager_step(topology: InfoTopology, P: np.ndarray) -> np.ndarray:
+    """Group best positions by neighbourhood.
 
-    Returns the (m, d, n) position tensor and (m, n) fitness matrix; slice i
-    lists unit i's neighbours in ascending index order, and short
-    neighbourhoods are padded with the unit's own entry.
+    Returns the (m, d, n) position tensor; slice i lists unit i's neighbours in
+    ascending index order, and short neighbourhoods are padded with the unit's
+    own entry.
     """
     P = np.asarray(P, dtype=float)
-    f_p = np.asarray(f_p, dtype=float)
     n = topology.n
-    if P.ndim != 2 or P.shape[0] != n or f_p.shape != (n,):
-        raise ValueError("positions/fitness shapes inconsistent with the topology")
+    if P.ndim != 2 or P.shape[0] != n:
+        raise ValueError("positions shape inconsistent with the topology")
     d = P.shape[1]
     m = topology.m
     pos = np.empty((m, d, n))
-    fit = np.empty((m, n))
     for i, neighbours in enumerate(topology.neighbour_lists):
         k = neighbours.size
         pos[:k, :, i] = P[neighbours]
-        fit[:k, i] = f_p[neighbours]
         if k < m:
             pos[k:, :, i] = P[i]
-            fit[k:, i] = f_p[i]
-    return pos, fit
+    return pos
 
 
 def build_ring(n: int) -> SpikeTopology:

@@ -8,8 +8,8 @@ states of the unit, the population, and the neighbourhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "ThresholdRule",
     "SpikeCondition",
     "SpikeRule",
-    "SpikeContext",
     "threshold",
     "phi_s",
     "apply_spike_rule",
@@ -169,37 +168,6 @@ class SpikeRule:
             raise ValueError("p_cr must lie in [0, 1]")
 
 
-@dataclass
-class SpikeContext:
-    """Encoded best states visible to the rule, plus the unit's random stream.
-
-    ``distinct_count`` lets the caller supply the number of distinct neighbour
-    states when it already knows it; left as ``None`` it is counted here.
-    """
-
-    v_self_best: np.ndarray
-    v_global_best: np.ndarray
-    neighbour_best_states: np.ndarray  # (m, 2)
-    rng: np.random.Generator
-    events: Optional[List[str]] = field(default=None)
-    distinct_count: Optional[int] = None
-
-    def warn(self, message: str) -> None:
-        if self.events is not None:
-            self.events.append(message)
-
-
-def _distinct_rows(states: np.ndarray) -> int:
-    return np.unique(np.asarray(states, dtype=float), axis=0).shape[0]
-
-
-def _too_few_distinct(nb: np.ndarray, needed: int, ctx: SpikeContext) -> bool:
-    if nb.shape[0] < needed:
-        return True
-    count = ctx.distinct_count if ctx.distinct_count is not None else _distinct_rows(nb)
-    return count < needed
-
-
 def _sample_distinct(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
     """k distinct indices in [0, m); rejection is cheaper than choice for small k."""
     while True:
@@ -213,54 +181,64 @@ def _fixed_reset(v_self_best: np.ndarray, sigma: float, rng: np.random.Generator
     return np.asarray(v_self_best, dtype=float) + noise
 
 
-def apply_spike_rule(rule: SpikeRule, v: np.ndarray, ctx: SpikeContext) -> np.ndarray:
+def apply_spike_rule(
+    rule: SpikeRule,
+    v: np.ndarray,
+    v_self_best: np.ndarray,
+    v_global_best: np.ndarray,
+    neighbour_best_states: np.ndarray,
+    distinct_count: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, bool]:
     """Apply the configured perturbation to one encoded state.
 
-    Differential variants sample donor indices without replacement from the
-    neighbourhood best states; when those hold too few distinct entries the
-    rule degrades to a fixed reset with sigma = 0.1 and logs a warning event.
+    ``neighbour_best_states`` holds the ``(m, 2)`` encoded neighbour bests, of
+    which ``distinct_count`` are distinct. Differential variants sample donor
+    indices without replacement from them; when too few are distinct the rule
+    degrades to a fixed reset with sigma = 0.1. Returns the new state and
+    whether that fallback was taken.
     """
     v = np.asarray(v, dtype=float)
-    nb = np.asarray(ctx.neighbour_best_states, dtype=float)
+    nb = np.asarray(neighbour_best_states, dtype=float)
+    fell_back = False
 
     if rule.variant == "random_reset":
-        out = ctx.rng.standard_normal(2)
+        out = rng.standard_normal(2)
     elif rule.variant == "fixed_reset":
-        out = _fixed_reset(ctx.v_self_best, rule.sigma, ctx.rng)
+        out = _fixed_reset(v_self_best, rule.sigma, rng)
     elif rule.variant == "directional":
         if rule.target == "self_best":
-            v_target = np.asarray(ctx.v_self_best, dtype=float)
+            v_target = np.asarray(v_self_best, dtype=float)
         elif rule.target == "global_best":
-            v_target = np.asarray(ctx.v_global_best, dtype=float)
+            v_target = np.asarray(v_global_best, dtype=float)
         else:
             v_target = 0.5 * (
-                np.asarray(ctx.v_self_best, dtype=float)
-                + np.asarray(ctx.v_global_best, dtype=float)
+                np.asarray(v_self_best, dtype=float) + np.asarray(v_global_best, dtype=float)
             )
-        noise = ctx.rng.normal(0.0, rule.sigma, size=2) if rule.sigma > 0.0 else 0.0
+        noise = rng.normal(0.0, rule.sigma, size=2) if rule.sigma > 0.0 else 0.0
         out = v + rule.alpha_d * (v_target - v) + noise
     elif rule.variant == "de_current_to_best":
-        if _too_few_distinct(nb, 2, ctx):
-            ctx.warn("de_current_to_best: fewer than 2 distinct neighbour states")
-            out = _fixed_reset(ctx.v_self_best, 0.1, ctx.rng)
+        if distinct_count < 2:
+            fell_back = True
+            out = _fixed_reset(v_self_best, 0.1, rng)
         else:
-            r1, r2 = _sample_distinct(ctx.rng, nb.shape[0], 2)
+            r1, r2 = _sample_distinct(rng, nb.shape[0], 2)
             out = (
                 v
-                + rule.F * (np.asarray(ctx.v_global_best, dtype=float) - v)
+                + rule.F * (np.asarray(v_global_best, dtype=float) - v)
                 + rule.F * (nb[r1] - nb[r2])
             )
     else:  # de_rand
-        if _too_few_distinct(nb, 3, ctx):
-            ctx.warn("de_rand: fewer than 3 distinct neighbour states")
-            out = _fixed_reset(ctx.v_self_best, 0.1, ctx.rng)
+        if distinct_count < 3:
+            fell_back = True
+            out = _fixed_reset(v_self_best, 0.1, rng)
         else:
-            r1, r2, r3 = _sample_distinct(ctx.rng, nb.shape[0], 3)
+            r1, r2, r3 = _sample_distinct(rng, nb.shape[0], 3)
             out = v + rule.F * (nb[r1] - v) + rule.F * (nb[r2] - nb[r3])
 
     if rule.p_cr is not None:
-        out = binomial_crossover(out, v, rule.p_cr, ctx.rng)
-    return out
+        out = binomial_crossover(out, v, rule.p_cr, rng)
+    return out, fell_back
 
 
 def binomial_crossover(

@@ -2,10 +2,11 @@
 
 A run wires n units to three coordination processes (tensor contraction,
 neighbour manager, high-level selector) plus two row-update collectors. A
-unit is two processes, its spiking core and its selector. The unit's three
-I/O peripherals are calls made by those two: the core calls its receiver
-before each step and its spike handler after it, the selector calls its
-sender after each evaluation.
+unit is two processes, its spiking core and its selector; both are stateless
+step functions, and the driver owns every unit's position, best and
+activations. The unit's three I/O peripherals are calls made by those two:
+the core calls its receiver before each step and its spike handler after it,
+the selector calls its sender after each evaluation.
 
 The deterministic driver sweeps every process in a fixed order once per step
 over (n, d) population arrays, so equal seeds give bit-identical traces. At
@@ -21,6 +22,7 @@ own selector's reply.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import warnings
@@ -64,8 +66,6 @@ INFO_TOPOLOGIES = ("random_m", "full")
 _PJ_PER_SYNAPSE = 23.6
 _PJ_PER_NEURON_STEP = 89.7
 
-_MAX_STORED_EVENTS = 1000
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration."""
@@ -82,6 +82,50 @@ class RunAbort(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # configuration
+
+_TOP_KEYS = ("problem", "n", "budget", "seed", "mode", "log", "topology", "units", "unit")
+_PROBLEM_KEYS = ("name", "dimension")
+_TOPOLOGY_KEYS = ("spike", "info", "m")
+_UNIT_KEYS = ("dynamics", "transform", "spike")
+_DYNAMICS_KEYS = ("model", "integrator", "dt", "params")
+_TRANSFORM_KEYS = ("alpha", "xref", "weights")
+_SPIKE_KEYS = ("condition", "condition_params", "threshold", "alpha_thr", "rule", "rule_params")
+_MODEL_PARAMS = {
+    "linear": ("A", "stability"),
+    "izhikevich": ("a", "b", "c", "d", "i_syn"),
+    "lif": ("tau_m", "v_rest", "i_syn"),
+}
+
+
+def _section(data: dict, key: str, allowed: Sequence[str], where: str) -> dict:
+    """``data[key]`` (empty if absent), an object holding only ``allowed`` keys."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}{key} must be an object")
+    _known_keys(value, allowed, f"{where}{key}")
+    return value
+
+
+def _known_keys(data: dict, allowed: Sequence[str], where: str) -> None:
+    unknown = sorted(str(k) for k in data if k not in allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+
+
+def _integer(value, name: str) -> int:
+    """A non-negative whole number; integral floats are accepted, booleans are not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _real(value, name: str) -> float:
+    """A finite number; booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -101,6 +145,23 @@ class UnitSpec:
     alpha_thr: float = 1.0
     rule: str = "de_rand"
     rule_params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("dt", "alpha", "alpha_thr"):
+            setattr(self, name, _real(getattr(self, name), name))
+        if self.model not in _MODEL_PARAMS:
+            raise ConfigError(f"unknown dynamics model {self.model!r}")
+        _known_keys(self.model_params, _MODEL_PARAMS[self.model], f"{self.model} params")
+        if self.xref_weights is not None:
+            if self.xref != transform.SELF_GLOBAL_AVERAGE:
+                raise ConfigError(
+                    f"transform.weights applies only to {transform.SELF_GLOBAL_AVERAGE}; "
+                    f"{self.xref} weighs its sources uniformly"
+                )
+            if not isinstance(self.xref_weights, list) or len(self.xref_weights) != 2:
+                raise ConfigError("transform.weights must list 2 weights (self, global)")
+            for w in self.xref_weights:
+                _real(w, "transform.weights entry")
 
     def to_dict(self) -> dict:
         return {
@@ -127,26 +188,31 @@ class UnitSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnitSpec":
+        if not isinstance(data, dict):
+            raise ConfigError("a unit section must be an object")
+        _known_keys(data, _UNIT_KEYS, "unit")
+        dyn = _section(data, "dynamics", _DYNAMICS_KEYS, "unit.")
+        tra = _section(data, "transform", _TRANSFORM_KEYS, "unit.")
+        spk = _section(data, "spike", _SPIKE_KEYS, "unit.")
         try:
-            dyn = data.get("dynamics", {})
-            tra = data.get("transform", {})
-            spk = data.get("spike", {})
             return cls(
                 model=dyn.get("model", "linear"),
                 integrator=dyn.get("integrator", "rk4"),
-                dt=float(dyn.get("dt", 0.01)),
+                dt=dyn.get("dt", 0.01),
                 model_params=dict(dyn.get("params", {})),
-                alpha=float(tra.get("alpha", 1.0)),
+                alpha=tra.get("alpha", 1.0),
                 xref=tra.get("xref", transform.SELF_GLOBAL_AVERAGE),
                 xref_weights=tra.get("weights"),
                 condition=spk.get("condition", "weighted_minkowski"),
                 condition_params=dict(spk.get("condition_params", {})),
                 threshold=spk.get("threshold", "global_self_gap"),
-                alpha_thr=float(spk.get("alpha_thr", 1.0)),
+                alpha_thr=spk.get("alpha_thr", 1.0),
                 rule=spk.get("rule", "de_rand"),
                 rule_params=dict(spk.get("rule_params", {})),
             )
-        except (TypeError, AttributeError) as exc:
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"malformed unit section: {exc}") from exc
 
 
@@ -208,32 +274,34 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """Load a config object; unknown keys and malformed values raise ``ConfigError``."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        try:
-            problem = data.get("problem", {})
-            topo = data.get("topology", {})
-            if "units" in data:
-                units = [UnitSpec.from_dict(u) for u in data["units"]]
-            elif "unit" in data:
-                units = [UnitSpec.from_dict(data["unit"])]
-            else:
-                units = [UnitSpec()]
-            return cls(
-                problem_name=problem.get("name", "sphere"),
-                dimension=int(problem.get("dimension", 2)),
-                n=int(data.get("n", 30)),
-                budget=int(data.get("budget", 2000)),
-                seed=int(data.get("seed", 0)),
-                mode=data.get("mode", "det"),
-                log=data.get("log", "trace"),
-                spike_topology=topo.get("spike", "ring"),
-                info_topology=topo.get("info", "random_m"),
-                info_m=topo.get("m", 10),
-                units=units,
-            )
-        except (TypeError, KeyError) as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
+        _known_keys(data, _TOP_KEYS, "config")
+        problem = _section(data, "problem", _PROBLEM_KEYS, "")
+        topo = _section(data, "topology", _TOPOLOGY_KEYS, "")
+        if "units" in data:
+            if not isinstance(data["units"], list):
+                raise ConfigError("units must be a list")
+            units = [UnitSpec.from_dict(u) for u in data["units"]]
+        elif "unit" in data:
+            units = [UnitSpec.from_dict(data["unit"])]
+        else:
+            units = [UnitSpec()]
+        m = topo.get("m", 10)
+        return cls(
+            problem_name=problem.get("name", "sphere"),
+            dimension=_integer(problem.get("dimension", 2), "problem.dimension"),
+            n=_integer(data.get("n", 30), "n"),
+            budget=_integer(data.get("budget", 2000), "budget"),
+            seed=_integer(data.get("seed", 0), "seed"),
+            mode=data.get("mode", "det"),
+            log=data.get("log", "trace"),
+            spike_topology=topo.get("spike", "ring"),
+            info_topology=topo.get("info", "random_m"),
+            info_m=None if m is None else _integer(m, "topology.m"),
+            units=units,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +322,11 @@ class Snapshots:
 
 @dataclass
 class RunTrace:
-    """Logged output of one run, indexed by logical step (0 .. budget)."""
+    """Logged output of one run, indexed by logical step (0 .. budget).
+
+    ``event_count`` is the number of (unit, dimension) firings whose
+    differential rule fell back to a fixed reset.
+    """
 
     config: dict
     mode: str
@@ -266,7 +338,6 @@ class RunTrace:
     evaluations: int
     optimum_value: Optional[float]
     event_count: int = 0
-    events: List[str] = field(default_factory=list)
     snapshots: Optional[Snapshots] = None
 
     @property
@@ -285,14 +356,14 @@ class RunTrace:
 class _Tracer:
     """Collects per-(unit, step) records; safe for concurrent writers."""
 
-    def __init__(self, n: int, budget: int, d: int, full_state: bool):
-        self.n = n
-        self.budget = budget
+    def __init__(self, built: "_Built"):
+        n, d, budget = built.cfg.n, built.cfg.dimension, built.cfg.budget
         self.unit_best = np.full((budget + 1, n), np.nan)
         self.spikes = np.zeros((budget + 1, n), dtype=np.int64)
         self.wall = np.zeros((budget + 1, n))
+        self.fallbacks = np.zeros(n, dtype=np.int64)
         self.snapshots: Optional[Snapshots] = None
-        if full_state:
+        if built.cfg.log == "full-state":
             shape = (budget + 1, n, d)
             self.snapshots = Snapshots(
                 x=np.full(shape, np.nan),
@@ -300,37 +371,33 @@ class _Tracer:
                 v_post=np.full(shape + (2,), np.nan),
                 theta=np.full(shape, np.nan),
                 s=np.zeros(shape, dtype=bool),
-                model_traces=np.full(n, np.nan),
+                model_traces=np.array(
+                    [np.nan if u.model_trace is None else u.model_trace for u in built.units]
+                ),
             )
+            self.snapshots.x[0] = built.x0
         self._lock = threading.Lock()
 
     def record_best(self, i: int, t: int, f_p: float) -> None:
         with self._lock:
             self.unit_best[t, i] = f_p
 
-    def record_core(self, i: int, t: int, state: unit.UnitState, wall_s: float) -> None:
+    def record_core(self, i: int, t: int, step: unit.CoreStep, wall_s: float) -> None:
         with self._lock:
-            self.spikes[t, i] = int(state.s.sum())
+            self.spikes[t, i] = int(step.s.sum())
             self.wall[t, i] = wall_s * 1000.0
+            self.fallbacks[i] += step.fallbacks
             if self.snapshots is not None:
-                self.snapshots.x[t, i] = state.x
-                self.snapshots.s[t, i] = state.s
-                if state.v_pre is not None:
-                    self.snapshots.v_pre[t, i] = state.v_pre
-                    self.snapshots.v_post[t, i] = state.neuro_states
-                    self.snapshots.theta[t, i] = state.theta
-
-    def record_x0(self, i: int, x0: np.ndarray) -> None:
-        if self.snapshots is not None:
-            with self._lock:
-                self.snapshots.x[0, i] = x0
+                self.snapshots.x[t, i] = step.x
+                self.snapshots.s[t, i] = step.s
+                self.snapshots.v_pre[t, i] = step.v_pre
+                self.snapshots.v_post[t, i] = step.v_post
+                self.snapshots.theta[t, i] = step.theta
 
     def build(
         self,
         cfg: RunConfig,
         objective: ObjectiveFunction,
-        events: List[str],
-        event_count: int,
         wall_rows: Optional[np.ndarray] = None,
     ) -> RunTrace:
         filled = self.unit_best.copy()
@@ -357,8 +424,7 @@ class _Tracer:
             wall_ms=wall_rows,
             evaluations=objective.evaluation_count,
             optimum_value=opt,
-            event_count=event_count,
-            events=events[:_MAX_STORED_EVENTS],
+            event_count=int(self.fallbacks.sum()),
             snapshots=self.snapshots,
         )
 
@@ -368,24 +434,18 @@ class _Tracer:
 
 
 @dataclass
-class _BuiltUnit:
-    core_state: unit.UnitState
-    selector_state: unit.UnitState
-    params: unit.UnitParams
-
-
-@dataclass
 class _Built:
     cfg: RunConfig
     domain: SearchDomain
     objective: ObjectiveFunction
     spike_topology: coordination.SpikeTopology
     info_topology: coordination.InfoTopology
-    units: List[_BuiltUnit]
+    units: List[unit.UnitParams]
+    x0: np.ndarray  # (n, d) initial positions
 
 
 def _build_model(spec: UnitSpec, rng: np.random.Generator) -> dynamics.DynamicsModel:
-    params = dict(spec.model_params)
+    params = spec.model_params
     if spec.model == "linear":
         if "A" in params:
             return dynamics.LinearModel(A=np.asarray(params["A"], dtype=float))
@@ -399,54 +459,42 @@ def _build_model(spec: UnitSpec, rng: np.random.Generator) -> dynamics.DynamicsM
             d=params.get("d", base.d),
             i_syn=params.get("i_syn", base.i_syn),
         )
-    if spec.model == "lif":
-        return dynamics.LIFModel(
-            tau_m=params.get("tau_m", 10.0),
-            v_rest=params.get("v_rest", -65.0),
-            i_syn=params.get("i_syn", 0.0),
-        )
-    raise ConfigError(f"unknown dynamics model {spec.model!r}")
+    return dynamics.LIFModel(
+        tau_m=params.get("tau_m", 10.0),
+        v_rest=params.get("v_rest", -65.0),
+        i_syn=params.get("i_syn", 0.0),
+    )
+
+
+def _build_heuristics(spec: UnitSpec, domain: SearchDomain) -> tuple:
+    """The spec's threshold rule, spike condition and spike rule, shared by its units."""
+    rule_kwargs = dict(spec.rule_params)
+    rule_kwargs.setdefault("sigma", 0.05 * float(np.mean(domain.width)))
+    return (
+        heuristics.ThresholdRule(variant=spec.threshold, alpha_thr=spec.alpha_thr),
+        heuristics.SpikeCondition(variant=spec.condition, **spec.condition_params),
+        heuristics.SpikeRule(variant=spec.rule, **rule_kwargs),
+    )
 
 
 def _build_unit(
-    i: int,
-    spec: UnitSpec,
-    cfg: RunConfig,
-    domain: SearchDomain,
-) -> _BuiltUnit:
-    d = cfg.dimension
+    i: int, spec: UnitSpec, shared: tuple, cfg: RunConfig, domain: SearchDomain
+) -> Tuple[np.ndarray, unit.UnitParams]:
+    """Unit i's initial position and parameters, from its own seeded streams."""
     init_rng = np.random.default_rng([cfg.seed, i, 0])
     model_rng = np.random.default_rng([cfg.seed, i, 1])
-    rule_rngs = [np.random.default_rng([cfg.seed, i, 2, j]) for j in range(d)]
-
-    core_state = unit.init_unit_state(i, domain, init_rng)
-    selector_state = unit.UnitState(
-        unit_id=i,
-        x=core_state.x.copy(),
-        p=core_state.p.copy(),
-        f_p=np.inf,
-        s=np.zeros(d, dtype=bool),
-        a=np.zeros(d, dtype=bool),
-        neuro_states=np.zeros((d, 2)),
-        retained_noise=core_state.retained_noise.copy(),
-    )
-
-    model = _build_model(spec, model_rng)
+    rule_rngs = [np.random.default_rng([cfg.seed, i, 2, j]) for j in range(cfg.dimension)]
+    x0 = init_rng.uniform(domain.lower, domain.upper)
     tp = transform.TransformParams(
         gain=spec.alpha,
-        retained_noise=core_state.retained_noise,
+        retained_noise=init_rng.uniform(size=cfg.dimension),
         reference_strategy=spec.xref,
         weights=None if spec.xref_weights is None else np.asarray(spec.xref_weights),
     )
-    thr = heuristics.ThresholdRule(variant=spec.threshold, alpha_thr=spec.alpha_thr)
-    cond = heuristics.SpikeCondition(variant=spec.condition, **spec.condition_params)
-    rule_kwargs = dict(spec.rule_params)
-    rule_kwargs.setdefault("sigma", 0.05 * float(np.mean(domain.width)))
-    rule = heuristics.SpikeRule(variant=spec.rule, **rule_kwargs)
-
+    thr, cond, rule = shared
     try:
         params = unit.UnitParams(
-            model=model,
+            model=_build_model(spec, model_rng),
             integrator=spec.integrator,
             dt=spec.dt,
             transform=tp,
@@ -457,7 +505,7 @@ def _build_unit(
         )
     except ValueError as exc:
         raise ConfigError(f"unit {i}: {exc}") from exc
-    return _BuiltUnit(core_state=core_state, selector_state=selector_state, params=params)
+    return x0, params
 
 
 def _build(cfg: RunConfig) -> _Built:
@@ -479,9 +527,13 @@ def _build(cfg: RunConfig) -> _Built:
         raise ConfigError(str(exc)) from exc
 
     try:
-        units = [
-            _build_unit(i, cfg.unit_spec_for(i), cfg, domain) for i in range(cfg.n)
-        ]
+        shared = [_build_heuristics(spec, domain) for spec in cfg.units]
+        x0, units = zip(
+            *(
+                _build_unit(i, cfg.unit_spec_for(i), shared[i % len(shared)], cfg, domain)
+                for i in range(cfg.n)
+            )
+        )
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -492,7 +544,8 @@ def _build(cfg: RunConfig) -> _Built:
         objective=objective,
         spike_topology=spike_topo,
         info_topology=info_topo,
-        units=units,
+        units=list(units),
+        x0=np.array(x0),
     )
 
 
@@ -500,42 +553,27 @@ def _build(cfg: RunConfig) -> _Built:
 # deterministic driver
 
 
-def _gather_events(built: _Built) -> Tuple[List[str], int]:
-    events: List[str] = []
-    count = 0
-    for bu in built.units:
-        count += len(bu.core_state.events)
-        for msg in bu.core_state.events[: _MAX_STORED_EVENTS - len(events)]:
-            events.append(f"unit {bu.core_state.unit_id}: {msg}")
-    return events, count
-
-
 def _run_deterministic(built: _Built) -> RunTrace:
     cfg, domain, objective = built.cfg, built.domain, built.objective
     n, d, budget = cfg.n, cfg.dimension, cfg.budget
-    tracer = _Tracer(n, budget, d, full_state=(cfg.log == "full-state"))
-    if tracer.snapshots is not None:
-        tracer.snapshots.model_traces[:] = [
-            np.nan if bu.params.model_trace is None else bu.params.model_trace
-            for bu in built.units
-        ]
+    tracer = _Tracer(built)
 
     gbest = coordination.GlobalBest()
-    # what the cores read at step t, delivered at the end of sweep t-1:
-    # `a` is the contraction of the spikes of step t-2, `P_sel`/`f_sel` are the
-    # selections of step t-1, and `g` and `nm` (the neighbourhood tensors) were
-    # computed from the selections of step t-2
+    # what the cores read at step t, delivered at the end of sweep t-1: `X`
+    # holds the positions of step t-1, `a` the contraction of the spikes of
+    # step t-2, `P_sel`/`f_sel` the selections of step t-1, and `g` and `nm`
+    # (the neighbourhood tensor) were computed from the selections of step t-2
+    X = built.x0.copy()
     a = np.zeros((n, d), dtype=bool)
     P_sel = np.zeros((n, d))
     f_sel = np.full(n, np.inf)
-    g: Optional[Tuple[np.ndarray, float]] = None
-    nm: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    g: Optional[np.ndarray] = None
+    nm: Optional[np.ndarray] = None
     A = np.zeros((n, d), dtype=bool)  # contraction of the spikes of step t-1
     # population stores written row by row by the handlers and the senders
     S = np.zeros((n, d), dtype=bool)
     P = np.zeros((n, d))
     f = np.full(n, np.inf)
-    X = np.zeros((n, d))
 
     wall_rows = np.zeros(budget + 1)
 
@@ -543,49 +581,35 @@ def _run_deterministic(built: _Built) -> RunTrace:
         nonlocal a, P_sel, f_sel, g, nm, A
         a_next = np.empty((n, d), dtype=bool)
         # spiking cores, each with its receiver before and its handler after the step
-        for i, bu in enumerate(built.units):
-            state = bu.core_state
+        for i, params in enumerate(built.units):
             if t == 0:
-                s_i, x_i = state.s, state.x
-                tracer.record_x0(i, x_i)
+                s_i = S[i]  # no spikes before the first step
             else:
-                P_n, f_pn = unit.receiver_step(state, *nm) if nm else (None, None)
-                g_val, f_g_val = g or (None, None)
-                inputs = unit.CoreInputs(
-                    a=a[i],
-                    g=g_val,
-                    f_g=f_g_val,
-                    p=P_sel[i],
-                    f_p=f_sel[i],
-                    P_n=P_n,
-                    f_pn=f_pn,
-                )
+                P_n = None if nm is None else unit.receiver_step(i, nm)
                 t0 = time.perf_counter()
-                s_i, x_i = unit.spiking_core_step(state, bu.params, domain, inputs)
-                tracer.record_core(i, t, state, time.perf_counter() - t0)
-            row, a_next[i] = unit.spiking_handler_step(state, s_i, A)
-            S[row[0]] = row[1]
-            X[i] = x_i
+                step = unit.spiking_core_step(params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n)
+                tracer.record_core(i, t, step, time.perf_counter() - t0)
+                s_i, X[i] = step.s, step.x
+            (_, S[i]), a_next[i] = unit.spiking_handler_step(i, s_i, A)
         # senders, tensor contraction, neighbour manager, high-level selector
         A_next = coordination.tensor_contract(built.spike_topology, S)
         if t > 0:
-            for i, bu in enumerate(built.units):
-                p_row, f_row = unit.sender_step(bu.core_state, P_sel[i], f_sel[i])
-                P[p_row[0]] = p_row[1]
-                f[f_row[0]] = f_row[1]
-            nm_next = coordination.neighbour_manager_step(built.info_topology, P, f)
-            g_next = coordination.high_level_selector_step(gbest, P, f)
+            for i in range(n):
+                _, (P[i], f[i]) = unit.sender_step(i, P_sel[i], f_sel[i])
+            nm_next = coordination.neighbour_manager_step(built.info_topology, P)
+            g_next, _ = coordination.high_level_selector_step(gbest, P, f)
         # selectors
         P_next = np.empty((n, d))
         f_next = np.empty(n)
-        for i, bu in enumerate(built.units):
-            P_next[i], f_next[i] = unit.selector_step(bu.selector_state, X[i], objective)
+        for i in range(n):
+            p_i = None if t == 0 else P_sel[i]
+            P_next[i], f_next[i] = unit.selector_step(X[i], p_i, f_sel[i], objective)
             tracer.record_best(i, t, f_next[i])
         # delivery
         a, A = a_next, A_next
         P_sel, f_sel = P_next, f_next
         if t > 0:
-            nm, g = nm_next, (g_next[0].copy(), g_next[1])
+            nm, g = nm_next, g_next.copy()
 
     try:
         for t in range(budget + 1):
@@ -593,12 +617,8 @@ def _run_deterministic(built: _Built) -> RunTrace:
             sweep(t)
             wall_rows[t] = (time.perf_counter() - t0) * 1000.0
     except Exception as exc:  # noqa: BLE001 - any process failure aborts the run
-        events, count = _gather_events(built)
-        partial = tracer.build(cfg, built.objective, events, count, wall_rows)
-        raise RunAbort(str(exc), partial) from exc
-
-    events, count = _gather_events(built)
-    return tracer.build(cfg, built.objective, events, count, wall_rows)
+        raise RunAbort(str(exc), tracer.build(cfg, objective, wall_rows)) from exc
+    return tracer.build(cfg, objective, wall_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +632,7 @@ class _AsyncRun:
         self.built = built
         cfg = built.cfg
         n, d = cfg.n, cfg.dimension
-        self.tracer = _Tracer(n, cfg.budget, d, full_state=(cfg.log == "full-state"))
-        if self.tracer.snapshots is not None:
-            self.tracer.snapshots.model_traces[:] = [
-                np.nan if bu.params.model_trace is None else bu.params.model_trace
-                for bu in built.units
-            ]
+        self.tracer = _Tracer(built)
         self.stop = threading.Event()
         self.done = threading.Event()
         self.errors: List[str] = []
@@ -667,38 +682,27 @@ class _AsyncRun:
 
     # -- actor loops
 
-    def core_loop(self, bu: _BuiltUnit) -> None:
-        """Step one core; its receiver runs before each step and its handler after."""
-        state, domain = bu.core_state, self.built.domain
-        i = state.unit_id
+    def core_loop(self, i: int) -> None:
+        """Step core i; its receiver runs before each step and its handler after."""
+        params, domain = self.built.units[i], self.built.domain
         try:
-            s_i, x_i = state.s, state.x
-            self.tracer.record_x0(i, x_i)
+            x = self.built.x0[i]
+            s = np.zeros(x.size, dtype=bool)
             last_reply = 0
             for t in range(self.built.cfg.budget + 1):
                 if t > 0:
-                    reply, last_reply = self.reply_slots[i].get_fresh(last_reply)
-                    _, p_val, f_p_val = reply
+                    p, last_reply = self.reply_slots[i].get_fresh(last_reply)
                     g, _ = self.g_bcast.peek()
-                    g_val, f_g_val = g or (None, None)
                     nm, _ = self.nm_bcast.peek()
-                    P_n, f_pn = unit.receiver_step(state, *nm) if nm else (None, None)
-                    inputs = unit.CoreInputs(
-                        a=a_val,
-                        g=g_val,
-                        f_g=f_g_val,
-                        p=p_val,
-                        f_p=f_p_val,
-                        P_n=P_n,
-                        f_pn=f_pn,
-                    )
+                    P_n = None if nm is None else unit.receiver_step(i, nm)
                     t0 = time.perf_counter()
-                    s_i, x_i = unit.spiking_core_step(state, bu.params, domain, inputs)
-                    self.tracer.record_core(i, t, state, time.perf_counter() - t0)
-                A_val, _ = self.A_bcast.peek()
-                row, a_val = unit.spiking_handler_step(state, s_i, A_val)
+                    step = unit.spiking_core_step(params, domain, t - 1, x, p, g, a, P_n)
+                    self.tracer.record_core(i, t, step, time.perf_counter() - t0)
+                    s, x = step.s, step.x
+                A, _ = self.A_bcast.peek()
+                row, a = unit.spiking_handler_step(i, s, A)
                 self.spike_mailbox.put(*row)
-                self.x_slots[i].put((t, x_i.copy()))
+                self.x_slots[i].put((t, x))
                 if self.stop.is_set():
                     return
         except Closed:
@@ -706,19 +710,18 @@ class _AsyncRun:
         except Exception as exc:  # noqa: BLE001 - reported as run abort
             self.fail(f"core {i}", exc)
 
-    def selector_loop(self, bu: _BuiltUnit) -> None:
+    def selector_loop(self, i: int) -> None:
         """Evaluate each emitted position, reply to the core, and send the best on."""
         cfg = self.built.cfg
-        i = bu.selector_state.unit_id
         try:
             last = 0
+            p, f_p = None, np.inf
             for _ in range(cfg.budget + 1):
                 (t, x), last = self.x_slots[i].get_fresh(last)
-                p, f_p = unit.selector_step(bu.selector_state, x, self.built.objective)
+                p, f_p = unit.selector_step(x, p, f_p, self.built.objective)
                 self.tracer.record_best(i, t, f_p)
-                self.reply_slots[i].put((t, p.copy(), f_p))
-                p_row, f_row = unit.sender_step(bu.selector_state, p, f_p)
-                self.best_mailbox.put(i, (p_row[1], f_row[1]))
+                self.reply_slots[i].put(p)
+                self.best_mailbox.put(*unit.sender_step(i, p, f_p))
             self._selector_finished()
         except Closed:
             pass
@@ -774,10 +777,8 @@ class _AsyncRun:
         try:
             last = 0
             while not self.stop.is_set():
-                (P, f), last = self.P_slot.get_fresh(last)
-                self.nm_bcast.put(
-                    coordination.neighbour_manager_step(self.built.info_topology, P, f)
-                )
+                (P, _), last = self.P_slot.get_fresh(last)
+                self.nm_bcast.put(coordination.neighbour_manager_step(self.built.info_topology, P))
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001
@@ -789,8 +790,8 @@ class _AsyncRun:
             last = 0
             while not self.stop.is_set():
                 (P, f), last = self.P_slot.get_fresh(last)
-                g, f_g = coordination.high_level_selector_step(gbest, P, f)
-                self.g_bcast.put((g.copy(), f_g))
+                g, _ = coordination.high_level_selector_step(gbest, P, f)
+                self.g_bcast.put(g.copy())
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001
@@ -801,9 +802,9 @@ class _AsyncRun:
     def execute(self, timeout_s: Optional[float]) -> RunTrace:
         cfg = self.built.cfg
         # two threads per unit plus five population-level ones: 2n + 5 in all
-        for bu in self.built.units:
-            self.threads.append(threading.Thread(target=self.core_loop, args=(bu,)))
-            self.threads.append(threading.Thread(target=self.selector_loop, args=(bu,)))
+        for i in range(cfg.n):
+            self.threads.append(threading.Thread(target=self.core_loop, args=(i,)))
+            self.threads.append(threading.Thread(target=self.selector_loop, args=(i,)))
         for target in (
             self.spike_collector_loop,
             self.best_collector_loop,
@@ -824,8 +825,7 @@ class _AsyncRun:
         for th in self.threads:
             th.join(timeout=5.0)
 
-        events, count = _gather_events(self.built)
-        trace = self.tracer.build(cfg, self.built.objective, events, count)
+        trace = self.tracer.build(cfg, self.built.objective)
         if timed_out:
             raise RunAbort(f"concurrent run timed out after {timeout_s} s", trace)
         if self.errors:

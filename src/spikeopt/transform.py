@@ -10,7 +10,7 @@ exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -65,41 +65,39 @@ def compute_xref(
     strategy: str,
     p: np.ndarray,
     g: np.ndarray,
-    neighbours: Sequence[np.ndarray] = (),
+    neighbours: Optional[np.ndarray] = None,
     weights: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reference point as a normalised weighting of best-known positions.
 
     ``self_global_average`` mixes the unit's own best ``p`` with the global
     best ``g``; ``self_global_neighbour_average`` additionally folds in each
-    neighbour's best. Weights default to uniform.
+    row of the ``(m, d)`` neighbour bests. Weights default to uniform.
     """
     p = np.asarray(p, dtype=float)
     g = np.asarray(g, dtype=float)
     if strategy == SELF_GLOBAL_AVERAGE:
-        sources = [p, g]
+        k = 2
     elif strategy == SELF_GLOBAL_NEIGHBOUR_AVERAGE:
+        neighbours = np.asarray([] if neighbours is None else neighbours, dtype=float)
         if len(neighbours) == 0:
             raise ValueError("neighbour-average reference needs at least one neighbour")
-        sources = [p, g] + [np.asarray(nb, dtype=float) for nb in neighbours]
+        k = 2 + len(neighbours)
     else:
         raise ValueError(f"unknown reference strategy {strategy!r}")
 
     if weights is None:
-        weights = np.full(len(sources), 1.0 / len(sources))
+        weights = np.full(k, 1.0 / k)
     else:
         weights = np.asarray(weights, dtype=float)
-        if weights.size != len(sources):
-            raise ValueError(
-                f"got {weights.size} weights for {len(sources)} reference sources"
-            )
+        if weights.size != k:
+            raise ValueError(f"got {weights.size} weights for {k} reference sources")
         if abs(weights.sum() - 1.0) > _WEIGHT_TOL:
             raise ValueError("weights must sum to 1")
 
-    if len(sources) == 2:
-        return weights[0] * sources[0] + weights[1] * sources[1]
-    stacked = np.asarray(sources)  # (2 + m, d)
-    return weights @ stacked
+    if k == 2:
+        return weights[0] * p + weights[1] * g
+    return weights @ np.concatenate((p[None, :], g[None, :], neighbours))  # (2 + m, d)
 
 
 def encode(

@@ -1,22 +1,23 @@
-"""One population member: spiking core, selector, and its three I/O peripherals.
+"""One population member as plain step functions: spiking core, selector, and I/O rows.
 
-Each member owns per-dimension 2-component neuron states. A step encodes the
-current position around a freshly computed reference point, evaluates the
-firing predicate per dimension, then either integrates the sub-threshold
-dynamics or applies the spike-triggered perturbation, and finally decodes and
-clips the new position. The selector evaluates emitted positions greedily.
+A unit holds no state of its own; the drivers keep every unit's position and
+best in population arrays (or, in the concurrent driver, in the unit's loop
+locals) and pass the unit's rows in. A core step encodes the current position
+around a freshly computed reference point, evaluates the firing predicate per
+dimension, then either integrates the sub-threshold dynamics or applies the
+spike-triggered perturbation, and finally decodes and clips the new position.
+The selector evaluates emitted positions greedily.
 
-The peripherals are plain functions, not processes: the spike handler and the
-receiver are called by the unit's core (after and before its step), the
-sender by its selector. Each is the one place where a local vector becomes a
-row of a population matrix, or a slice of a neighbourhood tensor becomes
-local inputs.
+The three I/O peripherals are one-line row functions called by the unit's core
+(the receiver before its step, the spike handler after it) and selector (the
+sender): each is the one place where a unit's vector becomes a row of a
+population matrix, or its slice of a neighbourhood tensor becomes a core input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .dynamics import (
 )
 from .heuristics import (
     SpikeCondition,
-    SpikeContext,
     SpikeRule,
     ThresholdRule,
     apply_spike_rule,
@@ -38,11 +38,9 @@ from .problem import ObjectiveFunction, SearchDomain, clip
 from .transform import TransformParams, SELF_GLOBAL_NEIGHBOUR_AVERAGE, compute_xref, decode, encode
 
 __all__ = [
-    "UnitState",
     "UnitParams",
-    "CoreInputs",
+    "CoreStep",
     "UnitAbortError",
-    "init_unit_state",
     "spiking_core_step",
     "selector_step",
     "spiking_handler_step",
@@ -56,32 +54,14 @@ class UnitAbortError(RuntimeError):
 
 
 @dataclass
-class UnitState:
-    """Mutable state of one unit across its lifetime."""
-
-    unit_id: int
-    x: np.ndarray
-    p: np.ndarray
-    f_p: float
-    s: np.ndarray
-    a: np.ndarray
-    neuro_states: np.ndarray  # (d, 2)
-    retained_noise: np.ndarray  # (d,)
-    is_init: bool = False
-    t: int = 0
-    events: List[str] = field(default_factory=list)
-    # diagnostics captured by the last core step, used for spike replay checks
-    v_pre: Optional[np.ndarray] = None
-    theta: Optional[np.ndarray] = None
-
-    @property
-    def dimension(self) -> int:
-        return self.x.size
-
-
-@dataclass
 class UnitParams:
-    """Per-unit configuration resolved to concrete objects."""
+    """Per-unit configuration resolved to concrete objects.
+
+    The threshold rule, condition and spike rule are shared by every unit
+    built from the same spec; the model, the transform (which holds the
+    unit's retained encoding noise) and the per-dimension rule streams are
+    the unit's own.
+    """
 
     model: DynamicsModel
     integrator: str
@@ -104,82 +84,53 @@ class UnitParams:
         )
 
 
-@dataclass
-class CoreInputs:
-    """Everything a core reads at the start of a step.
+class CoreStep(NamedTuple):
+    """What one core step emits, and what it leaves for the full-state trace."""
 
-    ``g`` of ``None`` means no global broadcast has arrived yet; the core then
-    treats its own best as the global best. ``P_n`` of ``None`` likewise falls
-    back to the unit's own best.
-    """
-
-    a: Optional[np.ndarray] = None
-    g: Optional[np.ndarray] = None
-    f_g: Optional[float] = None
-    p: Optional[np.ndarray] = None
-    f_p: Optional[float] = None
-    P_n: Optional[np.ndarray] = None  # (m, d)
-    f_pn: Optional[np.ndarray] = None  # (m,)
-
-
-def init_unit_state(
-    unit_id: int,
-    domain: SearchDomain,
-    init_rng: np.random.Generator,
-) -> UnitState:
-    """Fresh state with a uniform position and retained encoding noise."""
-    d = domain.dimension
-    x0 = init_rng.uniform(domain.lower, domain.upper)
-    noise = init_rng.uniform(size=d)
-    return UnitState(
-        unit_id=unit_id,
-        x=x0,
-        p=x0.copy(),
-        f_p=np.inf,
-        s=np.zeros(d, dtype=bool),
-        a=np.zeros(d, dtype=bool),
-        neuro_states=np.zeros((d, 2)),
-        retained_noise=noise,
-    )
+    s: np.ndarray  # (d,) self-spikes
+    x: np.ndarray  # (d,) new position, clipped to the domain
+    v_pre: np.ndarray  # (d, 2) encoded state before the step
+    v_post: np.ndarray  # (d, 2) state after integration or the spike rule
+    theta: np.ndarray  # (d,) firing thresholds
+    fallbacks: int  # firing dimensions whose rule fell back to a fixed reset
 
 
 def spiking_core_step(
-    state: UnitState,
     params: UnitParams,
     domain: SearchDomain,
-    inputs: CoreInputs,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance the unit one step; returns the spike vector and new position."""
-    d = state.dimension
+    t: int,
+    x: np.ndarray,
+    p: np.ndarray,
+    g: Optional[np.ndarray],
+    a: np.ndarray,
+    P_n: Optional[np.ndarray],
+) -> CoreStep:
+    """Advance one unit one step from its position ``x`` and best ``p``.
 
-    if inputs.p is not None:
-        state.p = np.asarray(inputs.p, dtype=float)
-        state.f_p = float(inputs.f_p)
-    p = state.p
-    g = p if inputs.g is None else np.asarray(inputs.g, dtype=float)
-    a = (
-        np.zeros(d, dtype=bool)
-        if inputs.a is None
-        else np.asarray(inputs.a, dtype=bool)
-    )
-    P_n = p[None, :] if inputs.P_n is None else np.asarray(inputs.P_n, dtype=float)
+    ``t`` counts the core steps taken before this one. ``g`` of ``None``
+    means no global broadcast has arrived yet, and ``P_n`` (the ``(m, d)``
+    neighbour bests) of ``None`` that no neighbourhood has; both then fall
+    back to the unit's own best. ``a`` holds the activations received.
+    """
+    d = x.size
+    g = p if g is None else g
+    P_n = p[None, :] if P_n is None else P_n
 
     tp = params.transform
-    neighbours = (
-        list(P_n) if tp.reference_strategy == SELF_GLOBAL_NEIGHBOUR_AVERAGE else ()
-    )
+    neighbours = P_n if tp.reference_strategy == SELF_GLOBAL_NEIGHBOUR_AVERAGE else None
     x_ref = compute_xref(tp.reference_strategy, p, g, neighbours, tp.weights)
 
-    r = state.retained_noise
-    v = encode(state.x, x_ref, tp, r)  # (d, 2)
+    r = tp.retained_noise
+    v = encode(x, x_ref, tp, r)  # (d, 2)
     theta = threshold(params.threshold_rule, g, p, x_ref)
     s = np.asarray(
-        phi_s(params.condition, v, state.t, theta, params.model_trace), dtype=bool
+        phi_s(params.condition, v, t, theta, params.model_trace), dtype=bool
     )
     fire = s | a
 
     v_new = v.copy()
     calm = ~fire
+    fallbacks = 0
     if calm.any():
         v_new[calm] = INTEGRATORS[params.integrator](params.model, v[calm], params.dt)
     if fire.any():
@@ -191,86 +142,55 @@ def spiking_core_step(
         v1_sorted = np.sort(v_nb[..., 0], axis=0)
         distinct = 1 + np.count_nonzero(v1_sorted[1:] != v1_sorted[:-1], axis=0)
         for j in np.flatnonzero(fire):
-            ctx = SpikeContext(
-                v_self_best=v_self[j],
-                v_global_best=v_glob[j],
-                neighbour_best_states=v_nb[:, j, :],
-                rng=params.rule_rngs[j],
-                events=state.events,
-                distinct_count=int(distinct[j]),
+            v_new[j], fell_back = apply_spike_rule(
+                params.rule,
+                v[j],
+                v_self[j],
+                v_glob[j],
+                v_nb[:, j, :],
+                int(distinct[j]),
+                params.rule_rngs[j],
             )
-            v_new[j] = apply_spike_rule(params.rule, v[j], ctx)
+            fallbacks += fell_back
 
     if not np.all(np.isfinite(v_new)):
-        raise UnitAbortError(
-            f"unit {state.unit_id}: non-finite state at step {state.t}"
-        )
+        raise UnitAbortError(f"non-finite state at core step {t}")
 
     x_new = clip(domain, decode(v_new, x_ref, tp))
-
-    state.x = x_new
-    state.s = s
-    state.a = a
-    state.neuro_states = v_new
-    state.v_pre = v
-    state.theta = np.broadcast_to(np.asarray(theta, dtype=float), (d,))
-    state.t += 1
-    return s, x_new
+    theta = np.broadcast_to(np.asarray(theta, dtype=float), (d,))
+    return CoreStep(s, x_new, v, v_new, theta, fallbacks)
 
 
 def selector_step(
-    state: UnitState,
     x: np.ndarray,
+    p: Optional[np.ndarray],
+    f_p: float,
     f: ObjectiveFunction,
 ) -> Tuple[np.ndarray, float]:
-    """Evaluate a candidate once and keep it only on strict improvement."""
+    """Evaluate a candidate once; it replaces the best ``p`` only on strict improvement.
+
+    ``p`` of ``None`` means the unit has no best yet, so the candidate is kept.
+    """
     f_x = f.evaluate(x)
-    if f_x < state.f_p or not state.is_init:
-        state.p = np.asarray(x, dtype=float).copy()
-        state.f_p = f_x
-        state.is_init = True
-    return state.p, state.f_p
+    if p is None or f_x < f_p:
+        return np.array(x, dtype=float), f_x
+    return p, f_p
 
 
 def spiking_handler_step(
-    state: UnitState,
-    s: np.ndarray,
-    A: np.ndarray,
+    i: int, s: np.ndarray, A: np.ndarray
 ) -> Tuple[Tuple[int, np.ndarray], np.ndarray]:
-    """Encode the local spikes as a row update and pull the unit's activations."""
-    s = np.asarray(s, dtype=bool)
-    A = np.asarray(A, dtype=bool)
-    if A.ndim != 2 or A.shape[1] != s.size or not 0 <= state.unit_id < A.shape[0]:
-        raise ValueError(
-            f"activation matrix shape {A.shape} inconsistent with unit "
-            f"{state.unit_id} and spike length {s.size}"
-        )
-    return (state.unit_id, s.copy()), A[state.unit_id].copy()
+    """Unit ``i``'s spike row for the population matrix, and its row of activations."""
+    return (i, s), A[i]
 
 
 def sender_step(
-    state: UnitState,
-    p: np.ndarray,
-    f_p: float,
-) -> Tuple[Tuple[int, np.ndarray], Tuple[int, float]]:
-    """Row updates placing the unit's best into the shared position/fitness stores."""
-    return (state.unit_id, np.asarray(p, dtype=float).copy()), (state.unit_id, float(f_p))
+    i: int, p: np.ndarray, f_p: float
+) -> Tuple[int, Tuple[np.ndarray, float]]:
+    """Unit ``i``'s best as a row update for the shared position/fitness stores."""
+    return i, (p, f_p)
 
 
-def receiver_step(
-    state: UnitState,
-    Pn_tensor: np.ndarray,
-    Fn_matrix: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Extract this unit's neighbourhood slice from the shared tensors."""
-    Pn_tensor = np.asarray(Pn_tensor, dtype=float)
-    Fn_matrix = np.asarray(Fn_matrix, dtype=float)
-    if Pn_tensor.ndim != 3 or Fn_matrix.ndim != 2:
-        raise ValueError("expected an (m, d, n) tensor and an (m, n) matrix")
-    m, _, n = Pn_tensor.shape
-    if Fn_matrix.shape != (m, n) or not 0 <= state.unit_id < n:
-        raise ValueError(
-            f"neighbour payload shapes {Pn_tensor.shape}/{Fn_matrix.shape} "
-            f"inconsistent for unit {state.unit_id}"
-        )
-    return Pn_tensor[:, :, state.unit_id].copy(), Fn_matrix[:, state.unit_id].copy()
+def receiver_step(i: int, Pn_tensor: np.ndarray) -> np.ndarray:
+    """Unit ``i``'s ``(m, d)`` slice of the ``(m, d, n)`` neighbourhood tensor."""
+    return Pn_tensor[:, :, i]

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import CONFIG_DIR
 from spikeopt import cli
 from spikeopt.runtime import RunAbort, RunConfig
@@ -80,6 +82,42 @@ class TestExitCodes:
     def test_bad_field_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, mode="warp")
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": -1},
+            {"seed": "abc"},
+            {"n": 4.9},
+            {"budget": True},
+            {"problm": {"name": "rastrigin"}},
+            {"unit": {"dynamics": {"dt": float("nan")}}},
+            {"unit": {"transform": {"alpha": float("inf")}}},
+            {"unit": {"transform": {"weights": [0.2, 0.3, 0.5]}}},
+            {
+                "unit": {
+                    "transform": {
+                        "xref": "self_global_neighbour_average",
+                        "weights": [0.25, 0.25, 0.25, 0.25],
+                    }
+                }
+            },
+        ],
+    )
+    def test_malformed_config_is_one_line_exit_two(self, tmp_path, capsys, overrides):
+        data = json.loads((CONFIG_DIR / "smoke.json").read_text())
+        for key, value in overrides.items():
+            if key == "unit":
+                for section, fields in value.items():
+                    data["unit"][section].update(fields)
+            else:
+                data[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_runtime_abort_is_exit_three(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)

@@ -189,12 +189,10 @@ class TestNeighbourManager:
         )
         topo = InfoTopology(W_x=W)
         P = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
-        f = np.array([10.0, 11.0, 12.0])
-        pos, fit = neighbour_manager_step(topo, P, f)
-        assert pos.shape == (2, 2, 3) and fit.shape == (2, 3)
+        pos = neighbour_manager_step(topo, P)
+        assert pos.shape == (2, 2, 3)
         # unit 0 sees units 1 and 2 in ascending order
         assert np.array_equal(pos[:, :, 0], [[1.0, 1.0], [2.0, 2.0]])
-        assert np.array_equal(fit[:, 0], [11.0, 12.0])
         # unit 2 sees units 0 and 1
         assert np.array_equal(pos[:, :, 2], [[0.0, 0.0], [1.0, 1.0]])
 
@@ -202,8 +200,7 @@ class TestNeighbourManager:
         n, d = 5, 3
         topo = build_full_info(n)
         P = rng.uniform(size=(n, d))
-        f = rng.uniform(size=n)
-        pos, _ = neighbour_manager_step(topo, P, f)
+        pos = neighbour_manager_step(topo, P)
         for i in range(n):
             expected = np.delete(P, i, axis=0)
             assert np.array_equal(pos[:, :, i], expected)
@@ -214,19 +211,16 @@ class TestNeighbourManager:
         )
         topo = InfoTopology(W_x=W)
         P = np.array([[0.0], [1.0], [2.0]])
-        f = np.array([10.0, 11.0, 12.0])
-        pos, fit = neighbour_manager_step(topo, P, f)
+        pos = neighbour_manager_step(topo, P)
         assert topo.m == 2
         # unit 0 has one neighbour; slot 1 repeats its own entry
         assert pos[0, 0, 0] == 1.0 and pos[1, 0, 0] == 0.0
-        assert fit[1, 0] == 10.0
 
     def test_slices_contain_only_population_rows(self, rng):
         n, d = 6, 2
         topo = build_random_info(n, 3, rng)
         P = rng.uniform(size=(n, d))
-        f = rng.uniform(size=n)
-        pos, _ = neighbour_manager_step(topo, P, f)
+        pos = neighbour_manager_step(topo, P)
         rows = {tuple(row) for row in P}
         for i in range(n):
             for slot in range(topo.m):
@@ -235,4 +229,4 @@ class TestNeighbourManager:
     def test_shape_mismatch_is_hard_error(self):
         topo = build_full_info(3)
         with pytest.raises(ValueError):
-            neighbour_manager_step(topo, np.zeros((4, 2)), np.zeros(4))
+            neighbour_manager_step(topo, np.zeros((4, 2)))

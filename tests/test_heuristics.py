@@ -6,7 +6,6 @@ import pytest
 from conftest import FakeRng
 from spikeopt.heuristics import (
     SpikeCondition,
-    SpikeContext,
     SpikeRule,
     ThresholdRule,
     apply_spike_rule,
@@ -16,14 +15,23 @@ from spikeopt.heuristics import (
 )
 
 
-def make_ctx(nb, rng=None, v_self=(0.0, 0.0), v_glob=(0.0, 0.0), events=None):
-    return SpikeContext(
+def make_ctx(nb, rng=None, v_self=(0.0, 0.0), v_glob=(0.0, 0.0), distinct_count=None):
+    nb = np.asarray(nb, dtype=float)
+    if distinct_count is None:
+        distinct_count = np.unique(nb, axis=0).shape[0]
+    return dict(
         v_self_best=np.asarray(v_self, dtype=float),
         v_global_best=np.asarray(v_glob, dtype=float),
-        neighbour_best_states=np.asarray(nb, dtype=float),
+        neighbour_best_states=nb,
+        distinct_count=distinct_count,
         rng=rng if rng is not None else np.random.default_rng(0),
-        events=events,
     )
+
+
+def spike(rule, v, ctx):
+    out, fell_back = apply_spike_rule(rule, v, **ctx)
+    assert not fell_back
+    return out
 
 
 class TestThreshold:
@@ -98,13 +106,13 @@ class TestPhiS:
 class TestSpikeRules:
     def test_random_reset_draws_standard_normal(self):
         rng = FakeRng(standard_normals=[np.array([0.3, -0.4])])
-        out = apply_spike_rule(SpikeRule("random_reset"), np.zeros(2), make_ctx(np.zeros((3, 2)), rng))
+        out = spike(SpikeRule("random_reset"), np.zeros(2), make_ctx(np.zeros((3, 2)), rng))
         assert np.array_equal(out, [0.3, -0.4])
 
     def test_fixed_reset_sigma_zero_hits_best_exactly(self):
         rule = SpikeRule("fixed_reset", sigma=0.0)
         ctx = make_ctx(np.zeros((3, 2)), v_self=(1.25, -0.5))
-        assert np.array_equal(apply_spike_rule(rule, np.array([9.0, 9.0]), ctx), [1.25, -0.5])
+        assert np.array_equal(spike(rule, np.array([9.0, 9.0]), ctx), [1.25, -0.5])
 
     @pytest.mark.parametrize(
         "target,expected",
@@ -113,21 +121,21 @@ class TestSpikeRules:
     def test_directional_unit_step_reaches_target(self, target, expected):
         rule = SpikeRule("directional", alpha_d=1.0, sigma=0.0, target=target)
         ctx = make_ctx(np.zeros((3, 2)), v_self=(1.0, 2.0), v_glob=(3.0, 4.0))
-        out = apply_spike_rule(rule, np.array([-7.0, 7.0]), ctx)
+        out = spike(rule, np.array([-7.0, 7.0]), ctx)
         assert np.allclose(out, expected)
 
     def test_de_current_to_best_hand_value(self):
         rng = FakeRng(integers=[np.array([0, 1])])
         rule = SpikeRule("de_current_to_best", F=1.0)
         ctx = make_ctx([[2.0, 0.0], [0.0, 2.0]], rng, v_glob=(1.0, 1.0))
-        out = apply_spike_rule(rule, np.zeros(2), ctx)
+        out = spike(rule, np.zeros(2), ctx)
         assert np.array_equal(out, [3.0, -1.0])
 
     def test_de_rand_hand_value(self):
         rng = FakeRng(integers=[np.array([0, 1, 2])])
         rule = SpikeRule("de_rand", F=0.5)
         ctx = make_ctx([[2.0, 0.0], [0.0, 2.0], [4.0, 4.0]], rng)
-        out = apply_spike_rule(rule, np.array([1.0, 1.0]), ctx)
+        out = spike(rule, np.array([1.0, 1.0]), ctx)
         assert np.array_equal(out, [-0.5, -0.5])
 
     @pytest.mark.parametrize("variant", ["de_current_to_best", "de_rand"])
@@ -136,49 +144,50 @@ class TestSpikeRules:
         for _ in range(25):
             v = rng.uniform(-3, 3, size=2)
             nb = rng.uniform(-3, 3, size=(5, 2))
-            out = apply_spike_rule(rule, v, make_ctx(nb, rng, v_glob=rng.uniform(size=2)))
+            out = spike(rule, v, make_ctx(nb, rng, v_glob=rng.uniform(size=2)))
             assert np.allclose(out, v)
 
     @pytest.mark.parametrize("variant", ["de_current_to_best", "de_rand"])
     def test_zero_f_zero_pcr_is_identity(self, variant, rng):
         rule = SpikeRule(variant, F=0.0, p_cr=0.0)
         v = rng.uniform(-3, 3, size=2)
-        out = apply_spike_rule(rule, v, make_ctx(rng.uniform(size=(4, 2)), rng))
+        out = spike(rule, v, make_ctx(rng.uniform(size=(4, 2)), rng))
         assert np.array_equal(out, v)
 
     def test_de_fallback_on_duplicate_neighbours(self):
-        events = []
         nb = np.tile([[1.0, 1.0]], (5, 1))
         rule = SpikeRule("de_rand", F=0.5)
         rng = FakeRng(normals=[np.array([0.01, -0.02])])
-        ctx = make_ctx(nb, rng, v_self=(2.0, 2.0), events=events)
-        out = apply_spike_rule(rule, np.zeros(2), ctx)
+        ctx = make_ctx(nb, rng, v_self=(2.0, 2.0))
+        out, fell_back = apply_spike_rule(rule, np.zeros(2), **ctx)
         assert np.allclose(out, [2.01, 1.98])
-        assert len(events) == 1 and "distinct" in events[0]
+        assert fell_back
 
     def test_de_fallback_on_short_list(self):
-        events = []
         rule = SpikeRule("de_current_to_best", F=0.5)
         rng = FakeRng(normals=[np.zeros(2)])
-        ctx = make_ctx(np.array([[1.0, 2.0]]), rng, v_self=(0.5, 0.5), events=events)
-        out = apply_spike_rule(rule, np.zeros(2), ctx)
+        ctx = make_ctx(np.array([[1.0, 2.0]]), rng, v_self=(0.5, 0.5))
+        out, fell_back = apply_spike_rule(rule, np.zeros(2), **ctx)
         assert np.array_equal(out, [0.5, 0.5])
-        assert events
+        assert fell_back
 
     def test_distinct_count_override_skips_fallback(self):
-        # caller-supplied count wins over the raw rows
-        rng = FakeRng(integers=[np.array([0, 1, 2])])
+        # the caller's count decides: three distinct rows pass, but a count of
+        # two for the same rows falls back
+        nb = np.arange(6.0).reshape(3, 2)
         rule = SpikeRule("de_rand", F=1.0)
-        ctx = make_ctx(np.arange(6.0).reshape(3, 2), rng)
-        ctx.distinct_count = 3
-        out = apply_spike_rule(rule, np.zeros(2), ctx)
-        assert np.all(np.isfinite(out))
+        ctx = make_ctx(nb, FakeRng(integers=[np.array([0, 1, 2])]), distinct_count=3)
+        out, fell_back = apply_spike_rule(rule, np.zeros(2), **ctx)
+        assert np.all(np.isfinite(out)) and not fell_back
+        ctx = make_ctx(nb, FakeRng(normals=[np.zeros(2)]), distinct_count=2)
+        _, fell_back = apply_spike_rule(rule, np.zeros(2), **ctx)
+        assert fell_back
 
     def test_outputs_finite_for_finite_inputs(self, rng):
         for variant in ("random_reset", "fixed_reset", "directional", "de_current_to_best", "de_rand"):
             rule = SpikeRule(variant, F=1.7, sigma=0.3, alpha_d=0.8)
             for _ in range(20):
-                out = apply_spike_rule(
+                out = spike(
                     rule,
                     rng.uniform(-50, 50, size=2),
                     make_ctx(
@@ -210,7 +219,7 @@ class TestCrossover:
         rng = FakeRng(uniforms=[np.array([0.0, 0.0])])
         rule = SpikeRule("fixed_reset", sigma=0.0, p_cr=1.0)
         ctx = make_ctx(np.zeros((3, 2)), rng, v_self=(0.7, -0.7))
-        assert np.array_equal(apply_spike_rule(rule, np.zeros(2), ctx), [0.7, -0.7])
+        assert np.array_equal(spike(rule, np.zeros(2), ctx), [0.7, -0.7])
 
 
 class TestValidation:

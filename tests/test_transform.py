@@ -87,7 +87,7 @@ class TestReferencePoint:
             SELF_GLOBAL_NEIGHBOUR_AVERAGE,
             np.array([1.0, 0.0]),
             np.array([0.0, 1.0]),
-            neighbours=[np.array([1.0, 1.0])],
+            neighbours=np.array([[1.0, 1.0]]),
         )
         assert np.allclose(x_ref, [2.0 / 3.0, 2.0 / 3.0])
 
@@ -99,19 +99,19 @@ class TestReferencePoint:
         for _ in range(50):
             p = rng.uniform(-5, 5, size=3)
             g = rng.uniform(-5, 5, size=3)
-            nbs = [rng.uniform(-5, 5, size=3) for _ in range(4)]
+            nbs = rng.uniform(-5, 5, size=(4, 3))
             w = rng.uniform(0.01, 1.0, size=6)
             w = w / w.sum()
             x_ref = compute_xref(SELF_GLOBAL_NEIGHBOUR_AVERAGE, p, g, nbs, w)
-            stackmin = np.min([p, g] + nbs, axis=0)
-            stackmax = np.max([p, g] + nbs, axis=0)
+            stackmin = np.min(np.vstack((p, g, nbs)), axis=0)
+            stackmax = np.max(np.vstack((p, g, nbs)), axis=0)
             assert np.all(x_ref >= stackmin - 1e-12)
             assert np.all(x_ref <= stackmax + 1e-12)
 
     def test_empty_neighbours_rejected(self):
         with pytest.raises(ValueError):
             compute_xref(
-                SELF_GLOBAL_NEIGHBOUR_AVERAGE, np.zeros(2), np.zeros(2), neighbours=[]
+                SELF_GLOBAL_NEIGHBOUR_AVERAGE, np.zeros(2), np.zeros(2), neighbours=np.zeros((0, 2))
             )
 
     def test_weight_count_mismatch(self):
