@@ -2,18 +2,18 @@
 
 A ``Slot`` holds the latest value written to it; writes never block and
 overwrite silently, readers either block for a value fresher than the one
-they last saw or peek at whatever is present. A run uses two slots per unit
-(core to selector, selector reply to core) and five population-level ones.
-A ``Mailbox`` is the many-to-one variant behind the two row-update
-collectors: every core puts its spike row into one, every selector its best
-row into the other; one pending value per sender, drained in ascending
+they last saw or peek at whatever is present. A run uses two: the
+activation broadcast and the information broadcast (global best and
+neighbourhood tensor). A ``Mailbox`` is the many-to-one variant drained by
+the two coordination loops: every unit puts its spike row into one and its
+best row into the other; one pending value per sender, drained in ascending
 sender order.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["Closed", "Slot", "Mailbox"]
 
@@ -38,13 +38,10 @@ class Slot:
             self._version += 1
             self._cond.notify_all()
 
-    def get_fresh(self, last_version: int, timeout: Optional[float] = None) -> Tuple[Any, int]:
+    def get_fresh(self, last_version: int) -> Tuple[Any, int]:
         """Block until a version newer than ``last_version`` is present."""
         with self._cond:
-            if not self._cond.wait_for(
-                lambda: self._version > last_version or self._closed, timeout
-            ):
-                raise Closed(f"slot {self.name}: timed out waiting for input")
+            self._cond.wait_for(lambda: self._version > last_version or self._closed)
             if self._version <= last_version:
                 raise Closed(f"slot {self.name}: closed")
             return self._value, self._version
@@ -74,11 +71,10 @@ class Mailbox:
             self._pending[sender] = value
             self._cond.notify_all()
 
-    def drain(self, timeout: Optional[float] = None) -> List[Tuple[int, Any]]:
+    def drain(self) -> List[Tuple[int, Any]]:
         """Block until something is pending, then take it all (ascending sender)."""
         with self._cond:
-            if not self._cond.wait_for(lambda: self._pending or self._closed, timeout):
-                raise Closed(f"mailbox {self.name}: timed out waiting for updates")
+            self._cond.wait_for(lambda: self._pending or self._closed)
             if not self._pending:
                 raise Closed(f"mailbox {self.name}: closed")
             items = sorted(self._pending.items())

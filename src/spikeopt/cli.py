@@ -23,6 +23,9 @@ from .runtime import (
     RunAbort,
     RunConfig,
     RunTrace,
+    check_keys,
+    config_integer,
+    config_section,
     estimate_power,
     measure_scaling,
     run,
@@ -120,23 +123,57 @@ def _set_path(data: dict, dotted: str, value) -> None:
     node = data
     for key in keys[:-1]:
         node = node.setdefault(key, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"cannot set {dotted}: {key} is not an object")
     node[keys[-1]] = value
 
 
+def _spec_file(path: str, allowed, kind: str) -> dict:
+    """A sweep or scale file holding only ``allowed`` keys and an object ``base``."""
+    spec = _load_json(path)
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{kind} config must be a JSON object")
+    check_keys(spec, allowed, f"{kind} config")
+    if not isinstance(spec.get("base"), dict):
+        raise ConfigError(f"{kind} config needs a 'base' object")
+    return spec
+
+
+def _value_list(value, name: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{name} must be a non-empty list, got {value!r}")
+    return value
+
+
+def _positive(value, name: str) -> int:
+    count = config_integer(value, name)
+    if count < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return count
+
+
+def _variant(base: dict, settings) -> RunConfig:
+    data = json.loads(json.dumps(base))
+    for key, value in settings:
+        _set_path(data, key, value)
+    return RunConfig.from_dict(data)
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _load_json(args.config)
-    base = spec.get("base")
+    spec = _spec_file(args.config, ("base", "sweep", "out"), "sweep")
     grid = spec.get("sweep")
-    if not isinstance(base, dict) or not isinstance(grid, dict) or not grid:
-        raise ConfigError("sweep config needs 'base' and a non-empty 'sweep' mapping")
-    out_root = Path(args.out if args.out is not None else spec.get("out", "sweep_out"))
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("sweep config needs a non-empty 'sweep' mapping")
+    out = args.out if args.out is not None else spec.get("out", "sweep_out")
+    if not isinstance(out, str):
+        raise ConfigError(f"sweep out must be a directory name, got {out!r}")
     keys = sorted(grid)
+    values = [_value_list(grid[k], f"sweep.{k}") for k in keys]
+    # every combination is parsed before the first run starts
+    configs = [_variant(spec["base"], zip(keys, combo)) for combo in itertools.product(*values)]
+    out_root = Path(out)
     index: List[dict] = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
-        data = json.loads(json.dumps(base))
-        for key, value in zip(keys, combo):
-            _set_path(data, key, value)
-        cfg = RunConfig.from_dict(data)
+    for cfg in configs:
         tag = f"{cfg.problem_name}_d{cfg.dimension}_n{cfg.n}_seed{cfg.seed}"
         trace = _execute_run(cfg, out_root / tag, args.timeout)
         index.append(
@@ -160,22 +197,16 @@ def cmd_power(args: argparse.Namespace) -> int:
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
-    spec = _load_json(args.config)
-    base = spec.get("base")
-    grid = spec.get("grid", {})
-    ns = grid.get("n")
-    ds = grid.get("d")
-    if not isinstance(base, dict) or not ns or not ds:
-        raise ConfigError("scale config needs 'base' and a 'grid' with 'n' and 'd' lists")
-    budget = int(spec.get("budget", 30))
-    repeats = int(spec.get("repeats", 7))
-    configs = []
-    for n, d in itertools.product(ns, ds):
-        data = json.loads(json.dumps(base))
-        data["n"] = n
-        _set_path(data, "problem.dimension", d)
-        data["budget"] = budget
-        configs.append(RunConfig.from_dict(data))
+    spec = _spec_file(args.config, ("base", "grid", "budget", "repeats"), "scale")
+    grid = config_section(spec, "grid", ("n", "d"), "scale ")
+    ns = _value_list(grid.get("n"), "grid.n")
+    ds = _value_list(grid.get("d"), "grid.d")
+    budget = _positive(spec.get("budget", 30), "budget")
+    repeats = _positive(spec.get("repeats", 7), "repeats")
+    configs = [
+        _variant(spec["base"], [("n", n), ("problem.dimension", d), ("budget", budget)])
+        for n, d in itertools.product(ns, ds)
+    ]
     result = measure_scaling(configs, repeats=repeats)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

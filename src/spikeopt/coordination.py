@@ -8,7 +8,7 @@ rows define each unit's neighbourhood.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,11 +48,16 @@ class SpikeTopology:
 
 @dataclass
 class InfoTopology:
-    """Boolean information-sharing graph; every unit needs >= 1 neighbour."""
+    """Boolean information-sharing graph; every unit needs >= 1 neighbour.
+
+    ``index`` is the ``(n, m)`` neighbour table: row i lists unit i's
+    neighbours in ascending order, padded with i itself up to the largest
+    neighbourhood size ``m``.
+    """
 
     W_x: np.ndarray
-    neighbour_lists: Tuple[np.ndarray, ...] = ()
-    m: int = 0
+    index: np.ndarray = field(init=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         W = np.asarray(self.W_x, dtype=bool)
@@ -60,12 +65,16 @@ class InfoTopology:
             raise ValueError("W_x must be a square matrix")
         if np.any(np.diagonal(W)):
             raise ValueError("W_x must have a zero diagonal")
-        lists = tuple(np.flatnonzero(row) for row in W)
-        if any(lst.size == 0 for lst in lists):
+        sizes = W.sum(axis=1)
+        if np.any(sizes == 0):
             raise ValueError("every unit needs at least one neighbour")
         self.W_x = W
-        self.neighbour_lists = lists
-        self.m = max(lst.size for lst in lists)
+        self.m = int(sizes.max())
+        # a stable sort puts each row's neighbours first, in ascending order,
+        # and the rest behind them; the padding columns are then set to the row
+        order = np.argsort(~W, axis=1, kind="stable")[:, : self.m]
+        pad = np.arange(self.m)[None, :] >= sizes[:, None]
+        self.index = np.where(pad, np.arange(W.shape[0])[:, None], order)
 
     @property
     def n(self) -> int:
@@ -119,18 +128,10 @@ def neighbour_manager_step(topology: InfoTopology, P: np.ndarray) -> np.ndarray:
     own entry.
     """
     P = np.asarray(P, dtype=float)
-    n = topology.n
-    if P.ndim != 2 or P.shape[0] != n:
+    if P.ndim != 2 or P.shape[0] != topology.n:
         raise ValueError("positions shape inconsistent with the topology")
-    d = P.shape[1]
-    m = topology.m
-    pos = np.empty((m, d, n))
-    for i, neighbours in enumerate(topology.neighbour_lists):
-        k = neighbours.size
-        pos[:k, :, i] = P[neighbours]
-        if k < m:
-            pos[k:, :, i] = P[i]
-    return pos
+    # one gather gives (m, n, d), returned as an (m, d, n) view with no copy
+    return P[topology.index.T].transpose(0, 2, 1)
 
 
 def build_ring(n: int) -> SpikeTopology:

@@ -1,12 +1,12 @@
 """Execution substrate: run configurations, the two drivers, traces, and cost models.
 
 A run wires n units to three coordination processes (tensor contraction,
-neighbour manager, high-level selector) plus two row-update collectors. A
-unit is two processes, its spiking core and its selector; both are stateless
-step functions, and the driver owns every unit's position, best and
-activations. The unit's three I/O peripherals are calls made by those two:
-the core calls its receiver before each step and its spike handler after it,
-the selector calls its sender after each evaluation.
+neighbour manager, high-level selector). A unit is two processes, its spiking
+core and its selector; both are stateless step functions, and the driver owns
+every unit's position, best and activations. The unit's three I/O peripherals
+are calls made by those two: the core calls its receiver before each step and
+its spike handler after it, the selector calls its sender after each
+evaluation.
 
 The deterministic driver sweeps every process in a fixed order once per step
 over (n, d) population arrays, so equal seeds give bit-identical traces. At
@@ -14,10 +14,13 @@ step t a core reads the contraction of the spikes of step t-2, its own best
 from step t-1, and the global best and neighbourhood computed from the
 selections of step t-2.
 
-The concurrent driver runs every process as a thread, 2n + 5 in all,
-exchanging messages over capacity-1 latest-wins channels; a core reads the
-latest broadcasts, and progress is paced only by each core waiting for its
-own selector's reply.
+The concurrent driver runs W = min(n, 2) worker threads, each
+sweeping a contiguous block of units at its own pace, plus two coordination
+threads: one contracts the spike rows into activations, the other turns the
+best rows into the global best and the neighbourhood tensor and publishes
+both as one broadcast. Workers read the latest broadcasts over capacity-1
+latest-wins channels, and before each sweep after the first a worker waits
+for an information broadcast newer than the one it last used.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +54,9 @@ __all__ = [
     "PowerEstimate",
     "ScalingCell",
     "ScalingResult",
+    "check_keys",
+    "config_integer",
+    "config_section",
     "run",
     "estimate_power",
     "measure_scaling",
@@ -97,22 +103,22 @@ _MODEL_PARAMS = {
 }
 
 
-def _section(data: dict, key: str, allowed: Sequence[str], where: str) -> dict:
+def config_section(data: dict, key: str, allowed: Sequence[str], where: str) -> dict:
     """``data[key]`` (empty if absent), an object holding only ``allowed`` keys."""
     value = data.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"{where}{key} must be an object")
-    _known_keys(value, allowed, f"{where}{key}")
+    check_keys(value, allowed, f"{where}{key}")
     return value
 
 
-def _known_keys(data: dict, allowed: Sequence[str], where: str) -> None:
+def check_keys(data: dict, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(str(k) for k in data if k not in allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _integer(value, name: str) -> int:
+def config_integer(value, name: str) -> int:
     """A non-negative whole number; integral floats are accepted, booleans are not."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -151,7 +157,7 @@ class UnitSpec:
             setattr(self, name, _real(getattr(self, name), name))
         if self.model not in _MODEL_PARAMS:
             raise ConfigError(f"unknown dynamics model {self.model!r}")
-        _known_keys(self.model_params, _MODEL_PARAMS[self.model], f"{self.model} params")
+        check_keys(self.model_params, _MODEL_PARAMS[self.model], f"{self.model} params")
         if self.xref_weights is not None:
             if self.xref != transform.SELF_GLOBAL_AVERAGE:
                 raise ConfigError(
@@ -190,10 +196,10 @@ class UnitSpec:
     def from_dict(cls, data: dict) -> "UnitSpec":
         if not isinstance(data, dict):
             raise ConfigError("a unit section must be an object")
-        _known_keys(data, _UNIT_KEYS, "unit")
-        dyn = _section(data, "dynamics", _DYNAMICS_KEYS, "unit.")
-        tra = _section(data, "transform", _TRANSFORM_KEYS, "unit.")
-        spk = _section(data, "spike", _SPIKE_KEYS, "unit.")
+        check_keys(data, _UNIT_KEYS, "unit")
+        dyn = config_section(data, "dynamics", _DYNAMICS_KEYS, "unit.")
+        tra = config_section(data, "transform", _TRANSFORM_KEYS, "unit.")
+        spk = config_section(data, "spike", _SPIKE_KEYS, "unit.")
         try:
             return cls(
                 model=dyn.get("model", "linear"),
@@ -277,9 +283,9 @@ class RunConfig:
         """Load a config object; unknown keys and malformed values raise ``ConfigError``."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        _known_keys(data, _TOP_KEYS, "config")
-        problem = _section(data, "problem", _PROBLEM_KEYS, "")
-        topo = _section(data, "topology", _TOPOLOGY_KEYS, "")
+        check_keys(data, _TOP_KEYS, "config")
+        problem = config_section(data, "problem", _PROBLEM_KEYS, "")
+        topo = config_section(data, "topology", _TOPOLOGY_KEYS, "")
         if "units" in data:
             if not isinstance(data["units"], list):
                 raise ConfigError("units must be a list")
@@ -291,15 +297,15 @@ class RunConfig:
         m = topo.get("m", 10)
         return cls(
             problem_name=problem.get("name", "sphere"),
-            dimension=_integer(problem.get("dimension", 2), "problem.dimension"),
-            n=_integer(data.get("n", 30), "n"),
-            budget=_integer(data.get("budget", 2000), "budget"),
-            seed=_integer(data.get("seed", 0), "seed"),
+            dimension=config_integer(problem.get("dimension", 2), "problem.dimension"),
+            n=config_integer(data.get("n", 30), "n"),
+            budget=config_integer(data.get("budget", 2000), "budget"),
+            seed=config_integer(data.get("seed", 0), "seed"),
             mode=data.get("mode", "det"),
             log=data.get("log", "trace"),
             spike_topology=topo.get("spike", "ring"),
             info_topology=topo.get("info", "random_m"),
-            info_m=None if m is None else _integer(m, "topology.m"),
+            info_m=None if m is None else config_integer(m, "topology.m"),
             units=units,
         )
 
@@ -625,8 +631,18 @@ def _run_deterministic(built: _Built) -> RunTrace:
 # concurrent driver
 
 
+# workers of the concurrent driver, whatever the host offers: under the GIL more
+# workers do not step units in parallel, they only drift further apart
+_WORKERS = 2
+
+
 class _AsyncRun:
-    """Owns the channels, threads, and failure handling of one concurrent run."""
+    """Owns the channels, threads, and failure handling of one concurrent run.
+
+    W workers each step a contiguous block of units; two coordination loops
+    turn the units' spike rows into activations, and their best rows into the
+    global best and the neighbourhood tensor.
+    """
 
     def __init__(self, built: _Built):
         self.built = built
@@ -637,20 +653,18 @@ class _AsyncRun:
         self.done = threading.Event()
         self.errors: List[str] = []
         self._err_lock = threading.Lock()
-        self._selectors_left = n
+        # blocks differ in size by at most one and keep hybrid specs interleaved
+        workers = min(n, _WORKERS)
+        self.blocks = [b.tolist() for b in np.array_split(np.arange(n), workers)]
+        self._workers_left = workers
 
-        self.x_slots = [Slot(f"x[{i}]") for i in range(n)]
-        self.reply_slots = [Slot(f"p[{i}]") for i in range(n)]
         self.spike_mailbox = Mailbox("spikes")
         self.best_mailbox = Mailbox("bests")
-        self.S_slot = Slot("S")
-        self.P_slot = Slot("P")
         self.A_bcast = Slot("A")
         # no unit is activated before the first contraction arrives
         self.A_bcast.put(np.zeros((n, d), dtype=bool))
-        self.g_bcast = Slot("g")
-        self.nm_bcast = Slot("Pn")
-        self.threads: List[threading.Thread] = []
+        self.info_bcast = Slot("g, Pn")
+        self.gbest = coordination.GlobalBest()
 
     # -- failure plumbing
 
@@ -660,172 +674,106 @@ class _AsyncRun:
         self.stop.set()
         self.done.set()
 
-    def _selector_finished(self) -> None:
+    def _worker_finished(self) -> None:
         with self._err_lock:
-            self._selectors_left -= 1
-            if self._selectors_left == 0:
+            self._workers_left -= 1
+            if self._workers_left == 0:
                 self.done.set()
 
-    def close_all(self) -> None:
-        for slot in (
-            *self.x_slots,
-            *self.reply_slots,
-            self.S_slot,
-            self.P_slot,
-            self.A_bcast,
-            self.g_bcast,
-            self.nm_bcast,
-        ):
-            slot.close()
-        self.spike_mailbox.close()
-        self.best_mailbox.close()
+    # -- threads
 
-    # -- actor loops
+    def worker_loop(self, block: List[int]) -> None:
+        """Sweep a block of units once per step: core, handler, selector, sender.
 
-    def core_loop(self, i: int) -> None:
-        """Step core i; its receiver runs before each step and its handler after."""
-        params, domain = self.built.units[i], self.built.domain
+        Before each sweep after the first the worker waits for an information
+        broadcast newer than the one it last used; that wait paces it and
+        leaves the coordination loops their share of the interpreter.
+        """
+        built = self.built
+        domain, objective = built.domain, built.objective
+        d = built.cfg.dimension
+        x = {i: built.x0[i] for i in block}
+        a = {}  # each unit's activation row, set by its handler before its first core step
+        p = dict.fromkeys(block)
+        f_p = dict.fromkeys(block, np.inf)
+        i = block[0]
         try:
-            x = self.built.x0[i]
-            s = np.zeros(x.size, dtype=bool)
-            last_reply = 0
-            for t in range(self.built.cfg.budget + 1):
+            info_version = 0
+            for t in range(built.cfg.budget + 1):
                 if t > 0:
-                    p, last_reply = self.reply_slots[i].get_fresh(last_reply)
-                    g, _ = self.g_bcast.peek()
-                    nm, _ = self.nm_bcast.peek()
-                    P_n = None if nm is None else unit.receiver_step(i, nm)
-                    t0 = time.perf_counter()
-                    step = unit.spiking_core_step(params, domain, t - 1, x, p, g, a, P_n)
-                    self.tracer.record_core(i, t, step, time.perf_counter() - t0)
-                    s, x = step.s, step.x
+                    (g, nm), info_version = self.info_bcast.get_fresh(info_version)
                 A, _ = self.A_bcast.peek()
-                row, a = unit.spiking_handler_step(i, s, A)
-                self.spike_mailbox.put(*row)
-                self.x_slots[i].put((t, x))
+                for i in block:
+                    if t == 0:
+                        s = np.zeros(d, dtype=bool)  # no spikes before the first step
+                    else:
+                        P_n = unit.receiver_step(i, nm)
+                        t0 = time.perf_counter()
+                        step = unit.spiking_core_step(
+                            built.units[i], domain, t - 1, x[i], p[i], g, a[i], P_n
+                        )
+                        self.tracer.record_core(i, t, step, time.perf_counter() - t0)
+                        s, x[i] = step.s, step.x
+                    row, a[i] = unit.spiking_handler_step(i, s, A)
+                    self.spike_mailbox.put(*row)
+                    p[i], f_p[i] = unit.selector_step(x[i], p[i], f_p[i], objective)
+                    self.tracer.record_best(i, t, f_p[i])
+                    self.best_mailbox.put(*unit.sender_step(i, p[i], f_p[i]))
                 if self.stop.is_set():
                     return
+            self._worker_finished()
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001 - reported as run abort
-            self.fail(f"core {i}", exc)
+            self.fail(f"unit {i}", exc)
 
-    def selector_loop(self, i: int) -> None:
-        """Evaluate each emitted position, reply to the core, and send the best on."""
-        cfg = self.built.cfg
-        try:
-            last = 0
-            p, f_p = None, np.inf
-            for _ in range(cfg.budget + 1):
-                (t, x), last = self.x_slots[i].get_fresh(last)
-                p, f_p = unit.selector_step(x, p, f_p, self.built.objective)
-                self.tracer.record_best(i, t, f_p)
-                self.reply_slots[i].put(p)
-                self.best_mailbox.put(*unit.sender_step(i, p, f_p))
-            self._selector_finished()
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail(f"selector {i}", exc)
-
-    def spike_collector_loop(self) -> None:
-        n, d = self.built.cfg.n, self.built.cfg.dimension
-        S = np.zeros((n, d), dtype=bool)
-        seen = np.zeros(n, dtype=bool)
+    def coordination_loop(self, mailbox: Mailbox, publish: Callable[[list], None], where: str) -> None:
+        """Keep every unit's latest row from ``mailbox``; once all have reported, publish."""
+        rows: list = [None] * self.built.cfg.n
+        waiting = set(range(self.built.cfg.n))
         try:
             while not self.stop.is_set():
-                for sender, s in self.spike_mailbox.drain():
-                    S[sender] = s
-                    seen[sender] = True
-                if seen.all():
-                    self.S_slot.put(S.copy())
+                for sender, row in mailbox.drain():
+                    rows[sender] = row
+                    waiting.discard(sender)
+                if not waiting:
+                    publish(rows)
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001
-            self.fail("spike collector", exc)
+            self.fail(where, exc)
 
-    def best_collector_loop(self) -> None:
-        n, d = self.built.cfg.n, self.built.cfg.dimension
-        P = np.zeros((n, d))
-        f = np.full(n, np.inf)
-        seen = np.zeros(n, dtype=bool)
-        try:
-            while not self.stop.is_set():
-                for sender, (p, f_p) in self.best_mailbox.drain():
-                    P[sender] = p
-                    f[sender] = f_p
-                    seen[sender] = True
-                if seen.all():
-                    self.P_slot.put((P.copy(), f.copy()))
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail("best collector", exc)
+    def publish_activations(self, spike_rows: list) -> None:
+        self.A_bcast.put(coordination.tensor_contract(self.built.spike_topology, np.array(spike_rows)))
 
-    def contraction_loop(self) -> None:
-        try:
-            last = 0
-            while not self.stop.is_set():
-                S, last = self.S_slot.get_fresh(last)
-                self.A_bcast.put(coordination.tensor_contract(self.built.spike_topology, S))
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail("tensor contraction", exc)
-
-    def neighbour_loop(self) -> None:
-        try:
-            last = 0
-            while not self.stop.is_set():
-                (P, _), last = self.P_slot.get_fresh(last)
-                self.nm_bcast.put(coordination.neighbour_manager_step(self.built.info_topology, P))
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail("neighbour manager", exc)
-
-    def selector_high_loop(self) -> None:
-        gbest = coordination.GlobalBest()
-        try:
-            last = 0
-            while not self.stop.is_set():
-                (P, f), last = self.P_slot.get_fresh(last)
-                g, _ = coordination.high_level_selector_step(gbest, P, f)
-                self.g_bcast.put(g.copy())
-        except Closed:
-            pass
-        except Exception as exc:  # noqa: BLE001
-            self.fail("high-level selector", exc)
+    def publish_information(self, best_rows: list) -> None:
+        """The global best and the neighbourhood tensor, from the same bests."""
+        P = np.array([p for p, _ in best_rows])
+        f = np.array([f_p for _, f_p in best_rows])
+        nm = coordination.neighbour_manager_step(self.built.info_topology, P)
+        g, _ = coordination.high_level_selector_step(self.gbest, P, f)
+        self.info_bcast.put((g, nm))
 
     # -- orchestration
 
     def execute(self, timeout_s: Optional[float]) -> RunTrace:
-        cfg = self.built.cfg
-        # two threads per unit plus five population-level ones: 2n + 5 in all
-        for i in range(cfg.n):
-            self.threads.append(threading.Thread(target=self.core_loop, args=(i,)))
-            self.threads.append(threading.Thread(target=self.selector_loop, args=(i,)))
-        for target in (
-            self.spike_collector_loop,
-            self.best_collector_loop,
-            self.contraction_loop,
-            self.neighbour_loop,
-            self.selector_high_loop,
-        ):
-            self.threads.append(threading.Thread(target=target))
-
-        for th in self.threads:
-            th.daemon = True
+        # W workers plus two coordination loops, whatever n is
+        jobs = [(self.worker_loop, (block,)) for block in self.blocks] + [
+            (self.coordination_loop, (self.spike_mailbox, self.publish_activations, "tensor contraction")),
+            (self.coordination_loop, (self.best_mailbox, self.publish_information, "information exchange")),
+        ]
+        threads = [threading.Thread(target=fn, args=args, daemon=True) for fn, args in jobs]
+        for th in threads:
             th.start()
 
-        finished = self.done.wait(timeout_s)
-        timed_out = not finished
+        timed_out = not self.done.wait(timeout_s)
         self.stop.set()
-        self.close_all()
-        for th in self.threads:
+        for channel in (self.A_bcast, self.info_bcast, self.spike_mailbox, self.best_mailbox):
+            channel.close()
+        for th in threads:
             th.join(timeout=5.0)
 
-        trace = self.tracer.build(cfg, self.built.objective)
+        trace = self.tracer.build(self.built.cfg, self.built.objective)
         if timed_out:
             raise RunAbort(f"concurrent run timed out after {timeout_s} s", trace)
         if self.errors:
@@ -843,8 +791,12 @@ def run(config: RunConfig, timeout_s: Optional[float] = None) -> RunTrace:
     ``timeout_s`` only applies to the concurrent mode; expiry aborts the run
     with the partial trace attached to the raised ``RunAbort``.
     """
-    built = _build(config)
-    if config.mode == "det":
+    return _step(_build(config), timeout_s)
+
+
+def _step(built: _Built, timeout_s: Optional[float] = None) -> RunTrace:
+    """Step a built run to the end of its budget with its configured driver."""
+    if built.cfg.mode == "det":
         return _run_deterministic(built)
     return _AsyncRun(built).execute(timeout_s)
 
@@ -915,16 +867,18 @@ class ScalingResult:
 def measure_scaling(configs: Sequence[RunConfig], repeats: int = 7) -> ScalingResult:
     """Time each configuration ``repeats`` times and fit runtime against n and d.
 
-    The metric is mean wall-clock per step per unit. Repeats are interleaved
-    across configurations so slow machine phases spread evenly over cells.
+    The metric is mean wall-clock per step per unit, timing the stepping only:
+    each run is built before its clock starts. Repeats are interleaved across
+    configurations so slow machine phases spread evenly over cells.
     """
     if len(configs) < 2:
         raise ValueError("need at least two configurations to compare")
     cells = [ScalingCell(n=c.n, d=c.dimension, samples_ms=[]) for c in configs]
     for _ in range(repeats):
         for cfg, cell in zip(configs, cells):
+            built = _build(cfg)
             t0 = time.perf_counter()
-            trace = run(cfg)
+            trace = _step(built)
             elapsed_ms = (time.perf_counter() - t0) * 1000.0
             cell.samples_ms.append(elapsed_ms / (trace.steps * cfg.n))
     means = np.array([c.mean_ms for c in cells])

@@ -1,8 +1,8 @@
 """One population member as plain step functions: spiking core, selector, and I/O rows.
 
 A unit holds no state of its own; the drivers keep every unit's position and
-best in population arrays (or, in the concurrent driver, in the unit's loop
-locals) and pass the unit's rows in. A core step encodes the current position
+best in population arrays (or, in the concurrent driver, in the loop locals
+of the worker stepping the unit) and pass the unit's rows in. A core step encodes the current position
 around a freshly computed reference point, evaluates the firing predicate per
 dimension, then either integrates the sub-threshold dynamics or applies the
 spike-triggered perturbation, and finally decodes and clips the new position.

@@ -162,6 +162,28 @@ class TestSweepCommand:
         cfg.write_text(json.dumps({"base": {}}))
         assert cli.main(["sweep", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"outdir": "elsewhere"},  # unknown key
+            {"sweep": {"seed": 5}},  # not a list
+            {"sweep": {"seed": []}},  # empty list
+            {"sweep": {"seed": [1, -1]}},  # the second combination is malformed
+            {"sweep": {"n.x": [1]}},  # path through a number
+        ],
+    )
+    def test_malformed_sweep_file_is_exit_two(self, tmp_path, capsys, overrides):
+        base = json.loads((CONFIG_DIR / "smoke.json").read_text())
+        base["budget"] = 2
+        spec = {"base": base, "sweep": {"seed": [1]}, **overrides}
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "runs"
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()  # no run started
+
 
 class TestScaleCommand:
     def test_tiny_grid(self, tmp_path):
@@ -174,3 +196,27 @@ class TestScaleCommand:
         lines = (out / "scaling.csv").read_text().strip().splitlines()
         assert lines[0] == "n,d,mean_ms,std_ms,cv"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"repeats": "x"},
+            {"repeats": 0},
+            {"budget": 2.5},
+            {"budget": True},
+            {"seed": 3},  # unknown key
+            {"grid": {"n": 4, "d": [2]}},  # not a list
+            {"grid": {"n": [4, 6], "d": [2], "m": [3]}},  # unknown grid key
+        ],
+    )
+    def test_malformed_scale_file_is_exit_two(self, tmp_path, capsys, overrides):
+        base = json.loads((CONFIG_DIR / "smoke.json").read_text())
+        spec = {"base": base, "grid": {"n": [4, 6], "d": [2]}, "budget": 2, "repeats": 1}
+        spec.update(overrides)
+        cfg = tmp_path / "scale.json"
+        cfg.write_text(json.dumps(spec))
+        out = tmp_path / "scale"
+        assert cli.main(["scale", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()

@@ -1,6 +1,8 @@
 """Run drivers, trace contracts, the energy model, and scaling measurement."""
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -148,9 +150,8 @@ class TestConcurrentRuns:
         assert trace.evaluations == 4 * 31
         assert_trace_monotone(trace)
 
-    def test_thread_bound(self, monkeypatch):
-        # a core and a selector per unit, plus two collectors and three
-        # coordination processes; none outlives the run
+    @staticmethod
+    def count_thread_starts(monkeypatch) -> list:
         started = []
         real_start = threading.Thread.start
 
@@ -159,10 +160,50 @@ class TestConcurrentRuns:
             real_start(self)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        cfg = small_config(mode="async", budget=20)
-        run(cfg, timeout_s=60)
-        assert len(started) == 2 * cfg.n + 5
-        assert not any(th.is_alive() for th in started)
+        return started
+
+    def test_thread_bound(self, monkeypatch):
+        # W = min(n, 2) workers plus the contraction and information loops,
+        # whatever n is; none outlives the run
+        started = self.count_thread_starts(monkeypatch)
+        for n in (4, 64):
+            started.clear()
+            cfg = small_config(mode="async", n=n, budget=20)
+            run(cfg, timeout_s=60)
+            assert len(started) == min(n, 2) + 2
+            assert not any(th.is_alive() for th in started)
+
+    def test_many_workers_lose_nothing(self, monkeypatch):
+        # eight workers on however few cores, switching threads often: no
+        # evaluation, best or step of any unit may be lost
+        import spikeopt.runtime as rt
+
+        monkeypatch.setattr(rt, "_WORKERS", 8)
+        started = self.count_thread_starts(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trace = run(small_config(mode="async", n=64, budget=5), timeout_s=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(started) == 8 + 2
+        assert trace.evaluations == 64 * 6
+        assert not np.isnan(trace.unit_best).any()
+        assert_trace_monotone(trace)
+
+    def test_uneven_blocks(self, monkeypatch):
+        # three workers over four units: blocks of two, one and one
+        import spikeopt.runtime as rt
+
+        monkeypatch.setattr(rt, "_WORKERS", 3)
+        started = self.count_thread_starts(monkeypatch)
+        cfg = small_config(mode="async", budget=30)
+        assert rt._AsyncRun(rt._build(cfg)).blocks == [[0, 1], [2], [3]]
+        trace = run(cfg, timeout_s=60)
+        assert len(started) == 3 + 2
+        assert trace.steps == 30
+        assert trace.evaluations == cfg.n * (cfg.budget + 1)
+        assert_trace_monotone(trace)
 
     def test_final_no_worse_than_start(self):
         trace = run(small_config(mode="async", budget=50), timeout_s=60)
@@ -332,3 +373,18 @@ class TestScaling:
     def test_needs_two_configs(self):
         with pytest.raises(ValueError):
             measure_scaling([self._cfg(4, 2)], repeats=2)
+
+    def test_set_up_is_not_timed(self, monkeypatch):
+        import spikeopt.runtime as rt
+
+        real_build = rt._build
+
+        def slow_build(cfg):
+            time.sleep(0.2)
+            return real_build(cfg)
+
+        monkeypatch.setattr(rt, "_build", slow_build)
+        result = measure_scaling([self._cfg(4, 2), self._cfg(4, 3)], repeats=1)
+        for cell in result.cells:
+            # whole stepping time of an 8-step run of 4 units, below the build's sleep
+            assert cell.mean_ms * 4 * 8 < 200.0
