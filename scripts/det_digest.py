@@ -4,6 +4,10 @@ Run from anywhere with ``python3 scripts/det_digest.py``; it imports ``spikeopt`
 from the ``src/`` directory of the checkout it lives in. It prints one
 ``<config> <seed> <sha256>`` line per run. Copy the script into another
 checkout, run it there too, and compare the two outputs line by line.
+``scripts/det_digest.txt`` holds the reference output of the current random
+stream contract behind a one-line header; a change that must keep det output
+byte-identical checks it with
+``python3 scripts/det_digest.py | diff - <(tail -n +2 scripts/det_digest.txt)``.
 
 Every run uses ``mode: det`` and ``log: full-state``. The digest covers the
 bytes of ``trace.csv``, ``spikes.csv`` and ``summary.json`` as the ``cli``

@@ -87,7 +87,6 @@ class GlobalBest:
 
     g: Optional[np.ndarray] = None
     f_g: float = np.inf
-    is_init: bool = False
 
 
 def tensor_contract(topology: SpikeTopology, S: np.ndarray) -> np.ndarray:
@@ -113,10 +112,9 @@ def high_level_selector_step(
     if P.shape[0] == 0:
         raise ValueError("empty population")
     i_star = int(np.argmin(f_p))
-    if f_p[i_star] < state.f_g or not state.is_init:
+    if state.g is None or f_p[i_star] < state.f_g:
         state.g = P[i_star].copy()
         state.f_g = float(f_p[i_star])
-        state.is_init = True
     return state.g, state.f_g
 
 

@@ -3,7 +3,8 @@
 The firing predicate decides, per dimension, whether the state takes a
 perturbation jump instead of a plain dynamics step. Perturbation rules range
 from blind resets to differential-evolution mutations over the encoded best
-states of the unit, the population, and the neighbourhood.
+states of the unit, the population, and the neighbourhood. Rules draw no
+random numbers themselves: the caller hands each firing pair its variates.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ __all__ = [
     "SpikeRule",
     "threshold",
     "phi_s",
+    "step_variates",
     "apply_spike_rule",
-    "binomial_crossover",
 ]
 
 THRESHOLD_VARIANTS = ("fixed", "global_self_gap", "ref_self_gap")
@@ -168,17 +169,25 @@ class SpikeRule:
             raise ValueError("p_cr must lie in [0, 1]")
 
 
-def _sample_distinct(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
-    """k distinct indices in [0, m); rejection is cheaper than choice for small k."""
-    while True:
-        idx = rng.integers(0, m, size=k)
-        if len({int(i) for i in idx}) == k:
-            return idx
+def step_variates(rng: np.random.Generator, d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """One core step's block: ``(d, 2)`` standard normals and ``(d, 5)`` uniforms."""
+    return rng.standard_normal((d, 2)), rng.random((d, 5))
 
 
-def _fixed_reset(v_self_best: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    noise = rng.normal(0.0, sigma, size=2) if sigma > 0.0 else 0.0
-    return np.asarray(v_self_best, dtype=float) + noise
+def _donors(u, m: int, k: int) -> list:
+    """k distinct indices in [0, m) from the uniforms ``u[:k]``, without rejection.
+
+    Index i is drawn from the m - i indices still free and shifted past those
+    already taken, so each ordered k-tuple owns one cell of the unit k-cube.
+    """
+    taken: list = []
+    for i in range(k):
+        r = int(u[i] * (m - i))
+        for s in sorted(taken):
+            if r >= s:
+                r += 1
+        taken.append(r)
+    return taken
 
 
 def apply_spike_rule(
@@ -188,65 +197,52 @@ def apply_spike_rule(
     v_global_best: np.ndarray,
     neighbour_best_states: np.ndarray,
     distinct_count: int,
-    rng: np.random.Generator,
+    z: np.ndarray,
+    u: np.ndarray,
 ) -> Tuple[np.ndarray, bool]:
     """Apply the configured perturbation to one encoded state.
 
     ``neighbour_best_states`` holds the ``(m, 2)`` encoded neighbour bests, of
-    which ``distinct_count`` are distinct. Differential variants sample donor
-    indices without replacement from them; when too few are distinct the rule
-    degrades to a fixed reset with sigma = 0.1. Returns the new state and
+    which ``distinct_count`` are distinct. ``z`` holds 2 standard normals and
+    ``u`` 5 uniforms in [0, 1): 3 pick distinct differential donors, 2 the
+    crossover mask. When too few neighbour states are distinct a differential
+    rule degrades to a fixed reset with sigma = 0.1. Returns the new state and
     whether that fallback was taken.
     """
     v = np.asarray(v, dtype=float)
     nb = np.asarray(neighbour_best_states, dtype=float)
+    v_self = np.asarray(v_self_best, dtype=float)
+    v_glob = np.asarray(v_global_best, dtype=float)
     fell_back = False
 
     if rule.variant == "random_reset":
-        out = rng.standard_normal(2)
+        out = np.array(z, dtype=float)
     elif rule.variant == "fixed_reset":
-        out = _fixed_reset(v_self_best, rule.sigma, rng)
+        out = v_self + rule.sigma * z
     elif rule.variant == "directional":
         if rule.target == "self_best":
-            v_target = np.asarray(v_self_best, dtype=float)
+            v_target = v_self
         elif rule.target == "global_best":
-            v_target = np.asarray(v_global_best, dtype=float)
+            v_target = v_glob
         else:
-            v_target = 0.5 * (
-                np.asarray(v_self_best, dtype=float) + np.asarray(v_global_best, dtype=float)
-            )
-        noise = rng.normal(0.0, rule.sigma, size=2) if rule.sigma > 0.0 else 0.0
-        out = v + rule.alpha_d * (v_target - v) + noise
+            v_target = 0.5 * (v_self + v_glob)
+        out = v + rule.alpha_d * (v_target - v) + rule.sigma * z
     elif rule.variant == "de_current_to_best":
-        if distinct_count < 2:
-            fell_back = True
-            out = _fixed_reset(v_self_best, 0.1, rng)
+        fell_back = distinct_count < 2
+        if fell_back:
+            out = v_self + 0.1 * z
         else:
-            r1, r2 = _sample_distinct(rng, nb.shape[0], 2)
-            out = (
-                v
-                + rule.F * (np.asarray(v_global_best, dtype=float) - v)
-                + rule.F * (nb[r1] - nb[r2])
-            )
+            r1, r2 = _donors(u, nb.shape[0], 2)
+            out = v + rule.F * (v_glob - v) + rule.F * (nb[r1] - nb[r2])
     else:  # de_rand
-        if distinct_count < 3:
-            fell_back = True
-            out = _fixed_reset(v_self_best, 0.1, rng)
+        fell_back = distinct_count < 3
+        if fell_back:
+            out = v_self + 0.1 * z
         else:
-            r1, r2, r3 = _sample_distinct(rng, nb.shape[0], 3)
+            r1, r2, r3 = _donors(u, nb.shape[0], 3)
             out = v + rule.F * (nb[r1] - v) + rule.F * (nb[r2] - nb[r3])
 
     if rule.p_cr is not None:
-        out = binomial_crossover(out, v, rule.p_cr, rng)
+        # binomial crossover: keep each new component with probability p_cr
+        out = np.where(u[3:5] < rule.p_cr, out, v)
     return out, fell_back
-
-
-def binomial_crossover(
-    v_new: np.ndarray,
-    v_old: np.ndarray,
-    p_cr: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Componentwise mix: keep the new value with probability ``p_cr``."""
-    keep_new = rng.uniform(size=np.shape(v_new)) < p_cr
-    return np.where(keep_new, v_new, v_old)

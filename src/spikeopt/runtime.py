@@ -448,6 +448,7 @@ class _Built:
     info_topology: coordination.InfoTopology
     units: List[unit.UnitParams]
     x0: np.ndarray  # (n, d) initial positions
+    streams: List[np.random.Generator]  # unit i's stream; stepping a built run consumes it
 
 
 def _build_model(spec: UnitSpec, rng: np.random.Generator) -> dynamics.DynamicsModel:
@@ -484,30 +485,26 @@ def _build_heuristics(spec: UnitSpec, domain: SearchDomain) -> tuple:
 
 
 def _build_unit(
-    i: int, spec: UnitSpec, shared: tuple, cfg: RunConfig, domain: SearchDomain
+    i: int, spec: UnitSpec, shared: tuple, rng: np.random.Generator, domain: SearchDomain
 ) -> Tuple[np.ndarray, unit.UnitParams]:
-    """Unit i's initial position and parameters, from its own seeded streams."""
-    init_rng = np.random.default_rng([cfg.seed, i, 0])
-    model_rng = np.random.default_rng([cfg.seed, i, 1])
-    rule_rngs = [np.random.default_rng([cfg.seed, i, 2, j]) for j in range(cfg.dimension)]
-    x0 = init_rng.uniform(domain.lower, domain.upper)
+    """Unit i's initial position and parameters: the first draws of its stream."""
+    x0 = rng.uniform(domain.lower, domain.upper)
     tp = transform.TransformParams(
         gain=spec.alpha,
-        retained_noise=init_rng.uniform(size=cfg.dimension),
+        retained_noise=rng.uniform(size=domain.dimension),
         reference_strategy=spec.xref,
         weights=None if spec.xref_weights is None else np.asarray(spec.xref_weights),
     )
     thr, cond, rule = shared
     try:
         params = unit.UnitParams(
-            model=_build_model(spec, model_rng),
+            model=_build_model(spec, rng),
             integrator=spec.integrator,
             dt=spec.dt,
             transform=tp,
             threshold_rule=thr,
             condition=cond,
             rule=rule,
-            rule_rngs=rule_rngs,
         )
     except ValueError as exc:
         raise ConfigError(f"unit {i}: {exc}") from exc
@@ -515,6 +512,7 @@ def _build_unit(
 
 
 def _build(cfg: RunConfig) -> _Built:
+    """Materialise a config; unit i's stream is child i of ``SeedSequence(seed)``."""
     domain = default_domain(cfg.dimension)
     objective = make_benchmark(cfg.problem_name, cfg.dimension, seed=cfg.seed)
 
@@ -534,9 +532,10 @@ def _build(cfg: RunConfig) -> _Built:
 
     try:
         shared = [_build_heuristics(spec, domain) for spec in cfg.units]
+        streams = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(cfg.n)]
         x0, units = zip(
             *(
-                _build_unit(i, cfg.unit_spec_for(i), shared[i % len(shared)], cfg, domain)
+                _build_unit(i, cfg.unit_spec_for(i), shared[i % len(shared)], streams[i], domain)
                 for i in range(cfg.n)
             )
         )
@@ -552,6 +551,7 @@ def _build(cfg: RunConfig) -> _Built:
         info_topology=info_topo,
         units=list(units),
         x0=np.array(x0),
+        streams=streams,
     )
 
 
@@ -593,7 +593,8 @@ def _run_deterministic(built: _Built) -> RunTrace:
             else:
                 P_n = None if nm is None else unit.receiver_step(i, nm)
                 t0 = time.perf_counter()
-                step = unit.spiking_core_step(params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n)
+                z, u = heuristics.step_variates(built.streams[i], d)
+                step = unit.spiking_core_step(params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n, z, u)
                 tracer.record_core(i, t, step, time.perf_counter() - t0)
                 s_i, X[i] = step.s, step.x
             (_, S[i]), a_next[i] = unit.spiking_handler_step(i, s_i, A)
@@ -709,8 +710,9 @@ class _AsyncRun:
                     else:
                         P_n = unit.receiver_step(i, nm)
                         t0 = time.perf_counter()
+                        z, u = heuristics.step_variates(built.streams[i], d)
                         step = unit.spiking_core_step(
-                            built.units[i], domain, t - 1, x[i], p[i], g, a[i], P_n
+                            built.units[i], domain, t - 1, x[i], p[i], g, a[i], P_n, z, u
                         )
                         self.tracer.record_core(i, t, step, time.perf_counter() - t0)
                         s, x[i] = step.s, step.x

@@ -6,7 +6,8 @@ of the worker stepping the unit) and pass the unit's rows in. A core step encode
 around a freshly computed reference point, evaluates the firing predicate per
 dimension, then either integrates the sub-threshold dynamics or applies the
 spike-triggered perturbation, and finally decodes and clips the new position.
-The selector evaluates emitted positions greedily.
+The selector evaluates emitted positions greedily. A core step draws nothing:
+the driver passes it a block of variates drawn from the unit's stream.
 
 The three I/O peripherals are one-line row functions called by the unit's core
 (the receiver before its step, the spike handler after it) and selector (the
@@ -17,7 +18,7 @@ population matrix, or its slice of a neighbourhood tensor becomes a core input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +59,8 @@ class UnitParams:
     """Per-unit configuration resolved to concrete objects.
 
     The threshold rule, condition and spike rule are shared by every unit
-    built from the same spec; the model, the transform (which holds the
-    unit's retained encoding noise) and the per-dimension rule streams are
-    the unit's own.
+    built from the same spec; the model and the transform (which holds the
+    unit's retained encoding noise) are the unit's own.
     """
 
     model: DynamicsModel
@@ -70,7 +70,6 @@ class UnitParams:
     threshold_rule: ThresholdRule
     condition: SpikeCondition
     rule: SpikeRule
-    rule_rngs: List[np.random.Generator]
 
     def __post_init__(self):
         if self.integrator not in INTEGRATORS:
@@ -104,13 +103,17 @@ def spiking_core_step(
     g: Optional[np.ndarray],
     a: np.ndarray,
     P_n: Optional[np.ndarray],
+    z: np.ndarray,
+    u: np.ndarray,
 ) -> CoreStep:
     """Advance one unit one step from its position ``x`` and best ``p``.
 
     ``t`` counts the core steps taken before this one. ``g`` of ``None``
     means no global broadcast has arrived yet, and ``P_n`` (the ``(m, d)``
     neighbour bests) of ``None`` that no neighbourhood has; both then fall
-    back to the unit's own best. ``a`` holds the activations received.
+    back to the unit's own best. ``a`` holds the activations received, and
+    ``z``, ``u`` the step's variates (``heuristics.step_variates``); a firing
+    dimension j hands its rows to the spike rule.
     """
     d = x.size
     g = p if g is None else g
@@ -149,7 +152,8 @@ def spiking_core_step(
                 v_glob[j],
                 v_nb[:, j, :],
                 int(distinct[j]),
-                params.rule_rngs[j],
+                z[j],
+                u[j],
             )
             fallbacks += fell_back
 

@@ -34,24 +34,3 @@ def assert_trace_monotone(trace: RunTrace) -> None:
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240811)
 
-
-class FakeRng:
-    """Deterministic stand-in for a Generator with queued draws."""
-
-    def __init__(self, integers=(), normals=(), uniforms=(), standard_normals=()):
-        self._integers = list(integers)
-        self._normals = list(normals)
-        self._uniforms = list(uniforms)
-        self._standard_normals = list(standard_normals)
-
-    def integers(self, low, high=None, size=None):
-        return np.asarray(self._integers.pop(0))
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return np.asarray(self._normals.pop(0))
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return np.asarray(self._uniforms.pop(0))
-
-    def standard_normal(self, size=None):
-        return np.asarray(self._standard_normals.pop(0))

@@ -158,14 +158,21 @@ class TestHighLevelSelector:
         assert np.array_equal(g, [0.0, 0.0])
 
     def test_incumbent_retained(self):
-        state = GlobalBest(g=np.array([5.0]), f_g=0.5, is_init=True)
+        state = GlobalBest(g=np.array([5.0]), f_g=0.5)
         g, f_g = high_level_selector_step(state, np.array([[1.0]]), np.array([0.7]))
         assert f_g == 0.5 and g[0] == 5.0
 
     def test_first_call_always_initialises(self):
         state = GlobalBest()
         _, f_g = high_level_selector_step(state, np.array([[1.0]]), np.array([42.0]))
-        assert f_g == 42.0 and state.is_init
+        assert f_g == 42.0 and state.g is not None
+
+    @pytest.mark.parametrize("f_first", [np.inf, np.nan])
+    def test_non_finite_first_population_initialises(self, f_first):
+        # no incumbent yet, so g is set even though nothing beats f_g = inf
+        state = GlobalBest()
+        g, f_g = high_level_selector_step(state, np.array([[1.0], [2.0]]), np.full(2, f_first))
+        assert np.array_equal(g, [1.0]) and np.array_equal(f_g, f_first, equal_nan=True)
 
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):

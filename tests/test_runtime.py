@@ -1,5 +1,6 @@
 """Run drivers, trace contracts, the energy model, and scaling measurement."""
 
+import copy
 import sys
 import threading
 import time
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import assert_trace_monotone, load_config
-from spikeopt.heuristics import phi_s, SpikeCondition
+from spikeopt.heuristics import phi_s, SpikeCondition, step_variates
+from spikeopt.problem import default_domain
 from spikeopt.runtime import (
     ConfigError,
     RunAbort,
@@ -321,6 +323,33 @@ class TestSeedDerivation:
     def test_units_get_distinct_streams(self):
         trace = run(small_config(budget=1))
         assert np.unique(trace.unit_best[0]).size > 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_unit_stream_is_not_the_topology_stream(self, seed):
+        # a zero-padded key [seed, 3, 0] would replay the random_m stream [seed, 3]
+        import spikeopt.runtime as rt
+
+        cfg = small_config(n=8, seed=seed)
+        domain = default_domain(cfg.dimension)
+        topology_draws = np.random.default_rng([seed, 3]).random(cfg.dimension)
+        x0 = rt._build(cfg).x0[3]
+        assert not np.allclose(x0, domain.lower + domain.width * topology_draws)
+
+    @pytest.mark.parametrize("mode", ["det", "async"])
+    def test_each_core_step_draws_one_block(self, mode):
+        # whatever fires, each unit's stream ends exactly `budget` blocks past
+        # where the build left it
+        import spikeopt.runtime as rt
+
+        cfg = load_config("smoke.json", mode=mode)
+        built = rt._build(cfg)
+        replicas = copy.deepcopy(built.streams)
+        trace = rt._step(built, timeout_s=60)
+        assert trace.spikes[1:].any() and not trace.spikes[1:].all()
+        for stream, replica in zip(built.streams, replicas):
+            for _ in range(cfg.budget):
+                step_variates(replica, cfg.dimension)
+            assert stream.bit_generator.state == replica.bit_generator.state
 
 
 class TestPowerModel:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spikeopt.dynamics import LinearModel, rk4_step
-from spikeopt.heuristics import SpikeCondition, SpikeRule, ThresholdRule, phi_s
+from spikeopt.heuristics import SpikeCondition, SpikeRule, ThresholdRule, phi_s, step_variates
 from spikeopt.problem import default_domain, make_benchmark, clip
 from spikeopt.transform import TransformParams, compute_xref, decode, encode
 from spikeopt.runtime import RunConfig, UnitSpec, _build
@@ -31,7 +31,6 @@ def make_params(
     alpha=1.0,
     integrator="rk4",
     dt=0.01,
-    seeds=(101, 202),
     noise=(0.25, 0.75),
 ):
     return UnitParams(
@@ -44,15 +43,17 @@ def make_params(
         else ThresholdRule("fixed", 1e9),
         condition=condition if condition is not None else SpikeCondition("abs_threshold"),
         rule=rule if rule is not None else SpikeRule("fixed_reset", sigma=0.0),
-        rule_rngs=[np.random.default_rng(seed) for seed in seeds],
     )
 
 
-def core_step(params, x=(1.0, -2.0), p=(0.5, 0.5), g=None, a=None, P_n=None, t=0):
+def core_step(params, x=(1.0, -2.0), p=(0.5, 0.5), g=None, a=None, P_n=None, t=0, variates=None):
+    """One core step; ``variates`` of ``None`` draws a block seeded by ``t``."""
     x = np.asarray(x, dtype=float)
     a = np.zeros(x.size, dtype=bool) if a is None else np.asarray(a, dtype=bool)
+    if variates is None:
+        variates = step_variates(np.random.default_rng(t), x.size)
     return spiking_core_step(
-        params, default_domain(x.size), t, x, np.asarray(p, dtype=float), g, a, P_n
+        params, default_domain(x.size), t, x, np.asarray(p, dtype=float), g, a, P_n, *variates
     )
 
 
@@ -139,22 +140,24 @@ class TestSpikingCore:
         noise = np.array([0.2, 0.6])
         a = np.array([True, False])
         P_n = np.array([[0.5, -0.5], [2.5, 1.5], [-2.0, 0.25]])
+        z, u = step_variates(np.random.default_rng(101), 2)
         swap = np.array([1, 0])
 
-        def step(order, seeds):
+        def step(order):
             params = make_params(
                 condition=SpikeCondition("weighted_minkowski", q=2.0),
                 threshold_rule=ThresholdRule("global_self_gap", 0.8),
                 rule=SpikeRule("de_rand", F=0.5),
-                seeds=seeds,
                 noise=noise[order],
             )
             return core_step(
-                params, x=x[order], p=p[order], g=g[order], a=a[order], P_n=P_n[:, order]
+                params, x=x[order], p=p[order], g=g[order], a=a[order], P_n=P_n[:, order],
+                variates=(z[order], u[order]),
             )
 
-        fwd = step(np.array([0, 1]), seeds=(101, 202))
-        rev = step(swap, seeds=(202, 101))
+        fwd = step(np.array([0, 1]))
+        rev = step(swap)
+        assert fwd.fallbacks == 0  # the activated dimension takes a de_rand jump
         assert np.array_equal(rev.s, fwd.s[swap])
         assert np.array_equal(rev.x, fwd.x[swap])
 
