@@ -19,6 +19,7 @@ __all__ = [
     "CONDITION_VARIANTS",
     "RULE_VARIANTS",
     "DIRECTIONAL_TARGETS",
+    "DE_RULES",
     "ThresholdRule",
     "SpikeCondition",
     "SpikeRule",
@@ -38,6 +39,8 @@ RULE_VARIANTS = (
     "de_rand",
 )
 DIRECTIONAL_TARGETS = ("self_best", "global_best", "blend")
+# the rules that draw neighbour donors and so read the distinct-neighbour count
+DE_RULES = ("de_current_to_best", "de_rand")
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,7 @@ def threshold(
     """Per-dimension firing threshold."""
     if rule.variant == "fixed":
         shape = np.broadcast_shapes(np.shape(g_j), np.shape(p_j))
-        return rule.alpha_thr if shape == () else np.full(shape, rule.alpha_thr)
+        return rule.alpha_thr if shape == () else np.full(shape, rule.alpha_thr, dtype=float)
     if rule.variant == "global_self_gap":
         return rule.alpha_thr * np.abs(np.asarray(g_j, dtype=float) - p_j)
     return rule.alpha_thr * np.abs(np.asarray(x_ref_j, dtype=float) - p_j)
@@ -115,16 +118,15 @@ def phi_s(
     theta: np.ndarray | float,
     model_trace: Optional[float] = None,
 ) -> np.ndarray | bool:
-    """Self-spiking predicate; broadcasts over leading axes of ``v``."""
-    v = np.asarray(v, dtype=float)
+    """Self-spiking predicate; broadcasts over leading axes of the float array ``v``."""
     if cond.variant == "abs_threshold":
         out = np.abs(v[..., 0]) >= theta
     elif cond.variant == "weighted_minkowski":
         weighted = cond.weights * v
         if cond.q == 2.0:
-            out = np.sqrt(np.sum(weighted * weighted, axis=-1)) > theta
+            out = np.sqrt((weighted * weighted).sum(axis=-1)) > theta
         else:
-            out = np.sum(np.abs(weighted) ** cond.q, axis=-1) ** (1.0 / cond.q) > theta
+            out = (np.abs(weighted) ** cond.q).sum(axis=-1) ** (1.0 / cond.q) > theta
     elif cond.variant == "shrinking_ball":
         out = np.linalg.norm(v, axis=-1) < cond.epsilon_spk / (1.0 + t)
     else:  # disc
@@ -179,6 +181,7 @@ def _donors(u, m: int, k: int) -> list:
 
     Index i is drawn from the m - i indices still free and shifted past those
     already taken, so each ordered k-tuple owns one cell of the unit k-cube.
+    The rules pass ``u`` as a list of Python floats, read once from the array.
     """
     taken: list = []
     for i in range(k):
@@ -207,16 +210,13 @@ def apply_spike_rule(
     ``u`` 5 uniforms in [0, 1): 3 pick distinct differential donors, 2 the
     crossover mask. When too few neighbour states are distinct a differential
     rule degrades to a fixed reset with sigma = 0.1. Returns the new state and
-    whether that fallback was taken.
+    whether that fallback was taken. Every state argument is a float array.
     """
-    v = np.asarray(v, dtype=float)
-    nb = np.asarray(neighbour_best_states, dtype=float)
-    v_self = np.asarray(v_self_best, dtype=float)
-    v_glob = np.asarray(v_global_best, dtype=float)
+    nb, v_self, v_glob = neighbour_best_states, v_self_best, v_global_best
     fell_back = False
 
     if rule.variant == "random_reset":
-        out = np.array(z, dtype=float)
+        out = z.copy()
     elif rule.variant == "fixed_reset":
         out = v_self + rule.sigma * z
     elif rule.variant == "directional":
@@ -232,14 +232,14 @@ def apply_spike_rule(
         if fell_back:
             out = v_self + 0.1 * z
         else:
-            r1, r2 = _donors(u, nb.shape[0], 2)
+            r1, r2 = _donors(u[:2].tolist(), nb.shape[0], 2)
             out = v + rule.F * (v_glob - v) + rule.F * (nb[r1] - nb[r2])
     else:  # de_rand
         fell_back = distinct_count < 3
         if fell_back:
             out = v_self + 0.1 * z
         else:
-            r1, r2, r3 = _donors(u, nb.shape[0], 3)
+            r1, r2, r3 = _donors(u[:3].tolist(), nb.shape[0], 3)
             out = v + rule.F * (nb[r1] - v) + rule.F * (nb[r2] - nb[r3])
 
     if rule.p_cr is not None:

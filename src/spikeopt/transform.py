@@ -112,11 +112,9 @@ def encode(
     carries the retained sample. Scalar inputs give shape (2,), vectors of
     length d give shape (d, 2).
     """
-    v1 = np.asarray(params.gain * (np.asarray(x_j, dtype=float) - x_ref_j))
-    v2 = np.asarray(2.0 * np.asarray(r_j, dtype=float) - (1.0 - x_ref_j))
-    if v2.shape != v1.shape:
-        v1, v2 = np.broadcast_arrays(v1, v2)
-    out = np.empty(v1.shape + (2,))
+    v1 = params.gain * (np.asarray(x_j, dtype=float) - x_ref_j)
+    v2 = 2.0 * np.asarray(r_j, dtype=float) - (1.0 - x_ref_j)
+    out = np.empty(np.broadcast(v1, v2).shape + (2,))
     out[..., 0] = v1
     out[..., 1] = v2
     return out

@@ -28,6 +28,7 @@ from .dynamics import (
     LinearModel,
 )
 from .heuristics import (
+    DE_RULES,
     SpikeCondition,
     SpikeRule,
     ThresholdRule,
@@ -115,7 +116,6 @@ def spiking_core_step(
     ``z``, ``u`` the step's variates (``heuristics.step_variates``); a firing
     dimension j hands its rows to the spike rule.
     """
-    d = x.size
     g = p if g is None else g
     P_n = p[None, :] if P_n is None else P_n
 
@@ -123,45 +123,38 @@ def spiking_core_step(
     neighbours = P_n if tp.reference_strategy == SELF_GLOBAL_NEIGHBOUR_AVERAGE else None
     x_ref = compute_xref(tp.reference_strategy, p, g, neighbours, tp.weights)
 
-    r = tp.retained_noise
-    v = encode(x, x_ref, tp, r)  # (d, 2)
+    # x, p, g and the m neighbour bests, encoded in one call: (3 + m, d, 2)
+    V = encode(np.concatenate((x[None], p[None], g[None], P_n)), x_ref, tp, tp.retained_noise)
+    v, v_self, v_glob, v_nb = V[0], V[1], V[2], V[3:]
     theta = threshold(params.threshold_rule, g, p, x_ref)
-    s = np.asarray(
-        phi_s(params.condition, v, t, theta, params.model_trace), dtype=bool
-    )
+    s = phi_s(params.condition, v, t, theta, params.model_trace)
     fire = s | a
 
     v_new = v.copy()
-    calm = ~fire
+    firing = fire.nonzero()[0].tolist()
     fallbacks = 0
-    if calm.any():
+    if len(firing) < x.size:
+        calm = ~fire
         v_new[calm] = INTEGRATORS[params.integrator](params.model, v[calm], params.dt)
-    if fire.any():
-        v_self = encode(p, x_ref, tp, r)
-        v_glob = encode(g, x_ref, tp, r)
-        v_nb = encode(P_n, x_ref, tp, r)  # (m, d, 2)
-        # the second state component is shared per dimension, so distinct
-        # neighbour states reduce to distinct first components
-        v1_sorted = np.sort(v_nb[..., 0], axis=0)
-        distinct = 1 + np.count_nonzero(v1_sorted[1:] != v1_sorted[:-1], axis=0)
-        for j in np.flatnonzero(fire):
+    if firing:
+        rule = params.rule
+        if rule.variant in DE_RULES:
+            # the second state component is shared per dimension, so distinct
+            # neighbour states reduce to distinct first components
+            v1_sorted = np.sort(v_nb[..., 0], axis=0)
+            distinct = (1 + (v1_sorted[1:] != v1_sorted[:-1]).sum(axis=0)).tolist()
+        else:
+            distinct = [0] * x.size  # read by the differential rules only
+        for j in firing:
             v_new[j], fell_back = apply_spike_rule(
-                params.rule,
-                v[j],
-                v_self[j],
-                v_glob[j],
-                v_nb[:, j, :],
-                int(distinct[j]),
-                z[j],
-                u[j],
+                rule, v[j], v_self[j], v_glob[j], v_nb[:, j], distinct[j], z[j], u[j]
             )
             fallbacks += fell_back
 
-    if not np.all(np.isfinite(v_new)):
+    if not np.isfinite(v_new).all():
         raise UnitAbortError(f"non-finite state at core step {t}")
 
     x_new = clip(domain, decode(v_new, x_ref, tp))
-    theta = np.broadcast_to(np.asarray(theta, dtype=float), (d,))
     return CoreStep(s, x_new, v, v_new, theta, fallbacks)
 
 
