@@ -582,12 +582,14 @@ def _run_deterministic(built: _Built) -> RunTrace:
     f = np.full(n, np.inf)
 
     wall_rows = np.zeros(budget + 1)
+    stepping: Optional[int] = None  # the unit whose core or selector runs, named by an abort
 
     def sweep(t: int) -> None:
-        nonlocal a, P_sel, f_sel, g, nm, A
+        nonlocal a, P_sel, f_sel, g, nm, A, stepping
         a_next = np.empty((n, d), dtype=bool)
         # spiking cores, each with its receiver before and its handler after the step
         for i, params in enumerate(built.units):
+            stepping = i
             if t == 0:
                 s_i = S[i]  # no spikes before the first step
             else:
@@ -598,6 +600,7 @@ def _run_deterministic(built: _Built) -> RunTrace:
                 tracer.record_core(i, t, step, time.perf_counter() - t0)
                 s_i, X[i] = step.s, step.x
             (_, S[i]), a_next[i] = unit.spiking_handler_step(i, s_i, A)
+        stepping = None
         # senders, tensor contraction, neighbour manager, high-level selector
         A_next = coordination.tensor_contract(built.spike_topology, S)
         if t > 0:
@@ -609,9 +612,11 @@ def _run_deterministic(built: _Built) -> RunTrace:
         P_next = np.empty((n, d))
         f_next = np.empty(n)
         for i in range(n):
+            stepping = i
             p_i = None if t == 0 else P_sel[i]
             P_next[i], f_next[i] = unit.selector_step(X[i], p_i, f_sel[i], objective)
             tracer.record_best(i, t, f_next[i])
+        stepping = None
         # delivery
         a, A = a_next, A_next
         P_sel, f_sel = P_next, f_next
@@ -624,7 +629,8 @@ def _run_deterministic(built: _Built) -> RunTrace:
             sweep(t)
             wall_rows[t] = (time.perf_counter() - t0) * 1000.0
     except Exception as exc:  # noqa: BLE001 - any process failure aborts the run
-        raise RunAbort(str(exc), tracer.build(cfg, objective, wall_rows)) from exc
+        diagnostic = str(exc) if stepping is None else f"unit {stepping}: {exc!r}"
+        raise RunAbort(diagnostic, tracer.build(cfg, objective, wall_rows)) from exc
     return tracer.build(cfg, objective, wall_rows)
 
 

@@ -256,8 +256,30 @@ class TestConcurrentRuns:
             return f
 
         monkeypatch.setattr(rt, "make_benchmark", flaky)
-        with pytest.raises(RunAbort):
+        with pytest.raises(RunAbort) as info:
             run(small_config(budget=5))
+        # the first selector to evaluate is unit 0's, and the abort names it
+        assert info.value.diagnostic.startswith("unit 0: ")
+        assert "boom" in info.value.diagnostic
+
+    def test_deterministic_core_failure_names_its_unit(self, monkeypatch):
+        import spikeopt.runtime as rt
+
+        real = rt.unit.spiking_core_step
+
+        def melting(params, *args):
+            if params is built_units[2]:
+                raise rt.unit.UnitAbortError("core melted")
+            return real(params, *args)
+
+        cfg = small_config(budget=5)
+        built = rt._build(cfg)
+        built_units = built.units
+        monkeypatch.setattr(rt.unit, "spiking_core_step", melting)
+        with pytest.raises(RunAbort) as info:
+            rt._step(built)
+        assert info.value.diagnostic.startswith("unit 2: ")
+        assert "core melted" in info.value.diagnostic
 
 
 class TestConfig:
