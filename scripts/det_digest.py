@@ -5,7 +5,9 @@ from the ``src/`` directory of the checkout it lives in. It prints one
 ``<config> <seed> <sha256>`` line per run. Copy the script into another
 checkout, run it there too, and compare the two outputs line by line.
 ``scripts/det_digest.txt`` holds the reference output of the current random
-stream contract behind a one-line header; a change that must keep det output
+stream contract behind a one-line header. No float BLAS product is on the det
+path, so the OpenBLAS kernel the host selects does not change it (set
+``OPENBLAS_CORETYPE``, e.g. ``Nehalem``, to check). A change that must keep det output
 byte-identical checks it with
 ``python3 scripts/det_digest.py | diff - <(tail -n +2 scripts/det_digest.txt)``.
 

@@ -97,7 +97,9 @@ def compute_xref(
 
     if k == 2:
         return weights[0] * p + weights[1] * g
-    return weights @ np.concatenate((p[None, :], g[None, :], neighbours))  # (2 + m, d)
+    # an elementwise sum, not ``weights @ ...``, so no BLAS kernel sets the bits
+    src = np.concatenate((p[None, :], g[None, :], neighbours))  # (2 + m, d)
+    return np.sum(weights[:, None] * src, axis=0)
 
 
 def encode(

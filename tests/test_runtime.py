@@ -1,6 +1,8 @@
 """Run drivers, trace contracts, the energy model, and scaling measurement."""
 
 import copy
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -8,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import assert_trace_monotone, load_config
+from conftest import CONFIG_DIR, assert_trace_monotone, load_config
 from spikeopt.heuristics import phi_s, SpikeCondition, step_variates
 from spikeopt.problem import default_domain
 from spikeopt.runtime import (
@@ -143,6 +145,34 @@ class TestDeterministicRuns:
     def test_full_state_positions_in_bounds(self):
         trace = run(small_config(budget=20, log="full-state"))
         assert np.nanmax(np.abs(trace.snapshots.x)) <= 5.0
+
+    def test_trace_bytes_do_not_depend_on_the_blas_kernel(self):
+        # the scale-grid base runs linear cores around a neighbour-average
+        # reference; a forced OpenBLAS kernel must not change a single bit
+        script = (
+            "import hashlib, json, sys\n"
+            "import numpy as np\n"
+            "from spikeopt import runtime\n"
+            "data = json.loads(open(sys.argv[1]).read())['base']\n"
+            "data.update(log='full-state')\n"
+            "trace = runtime.run(runtime.RunConfig.from_dict(data))\n"
+            "snaps, h = trace.snapshots, hashlib.sha256()\n"
+            "for array in (trace.unit_best, snaps.x, snaps.v_pre, snaps.v_post, snaps.theta):\n"
+            "    h.update(np.ascontiguousarray(array).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        config = str(CONFIG_DIR / "scale_grid.json")
+        src = str(CONFIG_DIR.parent / "src")
+
+        def digest(**env):
+            env = {**os.environ, "PYTHONPATH": src, **env}
+            proc = subprocess.run(
+                [sys.executable, "-c", script, config],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            return proc.stdout.strip()
+
+        assert digest() == digest(OPENBLAS_CORETYPE="Nehalem")
 
 
 class TestConcurrentRuns:
