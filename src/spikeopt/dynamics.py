@@ -87,8 +87,7 @@ def vector_field(model: DynamicsModel, v: np.ndarray, t: float = 0.0) -> np.ndar
     """Time derivative of the state under the model's continuous dynamics."""
     v = np.asarray(v, dtype=float)
     if isinstance(model, LinearModel):
-        # written out elementwise, not as ``v @ A.T``: a BLAS product's bits
-        # depend on the kernel OpenBLAS picks for the host CPU
+        # elementwise, not ``v @ A.T``, whose bits depend on the host's OpenBLAS kernel
         (a00, a01), (a10, a11) = model.A.tolist()
         v1, v2 = v[..., 0], v[..., 1]
         return np.stack([a00 * v1 + a01 * v2, a10 * v1 + a11 * v2], axis=-1)

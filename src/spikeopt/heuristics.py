@@ -181,7 +181,6 @@ def _donors(u, m: int, k: int) -> list:
 
     Index i is drawn from the m - i indices still free and shifted past those
     already taken, so each ordered k-tuple owns one cell of the unit k-cube.
-    The rules pass ``u`` as a list of Python floats, read once from the array.
     """
     taken: list = []
     for i in range(k):

@@ -97,9 +97,8 @@ def compute_xref(
 
     if k == 2:
         return weights[0] * p + weights[1] * g
-    # an elementwise sum, not ``weights @ ...``, so no BLAS kernel sets the bits
     src = np.concatenate((p[None, :], g[None, :], neighbours))  # (2 + m, d)
-    return np.sum(weights[:, None] * src, axis=0)
+    return np.sum(weights[:, None] * src, axis=0)  # BLAS-free, unlike ``weights @ src``
 
 
 def encode(
