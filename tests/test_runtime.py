@@ -295,16 +295,14 @@ class TestConcurrentRuns:
     def test_deterministic_core_failure_names_its_unit(self, monkeypatch):
         import spikeopt.runtime as rt
 
+        built = rt._build(small_config(budget=5))
         real = rt.unit.spiking_core_step
 
         def melting(params, *args):
-            if params is built_units[2]:
+            if params is built.units[2]:
                 raise rt.unit.UnitAbortError("core melted")
             return real(params, *args)
 
-        cfg = small_config(budget=5)
-        built = rt._build(cfg)
-        built_units = built.units
         monkeypatch.setattr(rt.unit, "spiking_core_step", melting)
         with pytest.raises(RunAbort) as info:
             rt._step(built)
