@@ -19,7 +19,6 @@ __all__ = [
     "CONDITION_VARIANTS",
     "RULE_VARIANTS",
     "DIRECTIONAL_TARGETS",
-    "DE_RULES",
     "ThresholdRule",
     "SpikeCondition",
     "SpikeRule",
@@ -39,8 +38,6 @@ RULE_VARIANTS = (
     "de_rand",
 )
 DIRECTIONAL_TARGETS = ("self_best", "global_best", "blend")
-# the rules that draw neighbour donors and so read the distinct-neighbour count
-DE_RULES = ("de_current_to_best", "de_rand")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .dynamics import (
     LinearModel,
 )
 from .heuristics import (
-    DE_RULES,
     SpikeCondition,
     SpikeRule,
     ThresholdRule,
@@ -138,13 +137,10 @@ def spiking_core_step(
         v_new[calm] = INTEGRATORS[params.integrator](params.model, v[calm], params.dt)
     if firing:
         rule = params.rule
-        if rule.variant in DE_RULES:
-            # the second state component is shared per dimension, so distinct
-            # neighbour states reduce to distinct first components
-            v1_sorted = np.sort(v_nb[..., 0], axis=0)
-            distinct = (1 + (v1_sorted[1:] != v1_sorted[:-1]).sum(axis=0)).tolist()
-        else:
-            distinct = [0] * x.size  # read by the differential rules only
+        # the second state component is shared per dimension, so distinct
+        # neighbour states reduce to distinct first components
+        v1_sorted = np.sort(v_nb[..., 0], axis=0)
+        distinct = (1 + (v1_sorted[1:] != v1_sorted[:-1]).sum(axis=0)).tolist()
         for j in firing:
             v_new[j], fell_back = apply_spike_rule(
                 rule, v[j], v_self[j], v_glob[j], v_nb[:, j], distinct[j], z[j], u[j]
