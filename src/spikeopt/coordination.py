@@ -90,11 +90,7 @@ class GlobalBest:
 
 
 def tensor_contract(topology: SpikeTopology, S: np.ndarray) -> np.ndarray:
-    """Activation matrix A[i, j] = OR_k (W[i, k] AND S[k, j])."""
-    S = np.asarray(S, dtype=bool)
-    n = topology.n
-    if S.ndim != 2 or S.shape[0] != n:
-        raise ValueError(f"spike matrix must have shape ({n}, d), got {S.shape}")
+    """Activation matrix A[i, j] = OR_k (W[i, k] AND S[k, j]) for the boolean ``(n, d)`` ``S``."""
     # a boolean matmul ORs the ANDs, so no spike count can overflow
     return topology.W_s @ S
 
@@ -104,13 +100,7 @@ def high_level_selector_step(
     P: np.ndarray,
     f_p: np.ndarray,
 ) -> Tuple[np.ndarray, float]:
-    """Greedy global-best update; ties resolve to the lowest unit index."""
-    P = np.asarray(P, dtype=float)
-    f_p = np.asarray(f_p, dtype=float)
-    if P.ndim != 2 or f_p.shape != (P.shape[0],):
-        raise ValueError("positions and fitness lengths must match")
-    if P.shape[0] == 0:
-        raise ValueError("empty population")
+    """Greedy global-best update over the ``(n, d)`` bests; ties resolve to the lowest unit index."""
     i_star = int(np.argmin(f_p))
     if state.g is None or f_p[i_star] < state.f_g:
         state.g = P[i_star].copy()
@@ -125,9 +115,6 @@ def neighbour_manager_step(topology: InfoTopology, P: np.ndarray) -> np.ndarray:
     ascending index order, and short neighbourhoods are padded with the unit's
     own entry.
     """
-    P = np.asarray(P, dtype=float)
-    if P.ndim != 2 or P.shape[0] != topology.n:
-        raise ValueError("positions shape inconsistent with the topology")
     # one gather gives (m, n, d), returned as an (m, d, n) view with no copy
     return P[topology.index.T].transpose(0, 2, 1)
 

@@ -84,48 +84,33 @@ REGULAR_SPIKING = IzhikevichModel(a=0.02, b=0.2, c=-65.0, d=8.0, i_syn=10.0)
 
 
 def vector_field(model: DynamicsModel, v: np.ndarray, t: float = 0.0) -> np.ndarray:
-    """Time derivative of the state under the model's continuous dynamics."""
-    v = np.asarray(v, dtype=float)
+    """Time derivative of the float state array ``v`` under the model's continuous dynamics."""
+    v1, v2 = v[..., 0], v[..., 1]
     if isinstance(model, LinearModel):
         # elementwise, not ``v @ A.T``, whose bits depend on the host's OpenBLAS kernel
         (a00, a01), (a10, a11) = model.A.tolist()
-        v1, v2 = v[..., 0], v[..., 1]
         return np.stack([a00 * v1 + a01 * v2, a10 * v1 + a11 * v2], axis=-1)
     if isinstance(model, IzhikevichModel):
-        v1, v2 = v[..., 0], v[..., 1]
         dv1 = v1 * v1 / 25.0 + 5.0 * v1 + 140.0 - v2 + model.i_syn
         dv2 = model.a * (model.b * v1 - v2)
         return np.stack([dv1, dv2], axis=-1)
-    if isinstance(model, LIFModel):
-        dv1 = -(v[..., 0] - model.v_rest + model.i_syn) / model.tau_m
-        return np.stack([dv1, np.zeros_like(dv1)], axis=-1)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _check_finite(v: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
-        raise FloatingPointError(f"non-finite state after {where}")
-    return v
+    # LIFModel: config load admits no other model
+    dv1 = -(v1 - model.v_rest + model.i_syn) / model.tau_m
+    return np.stack([dv1, np.zeros_like(dv1)], axis=-1)
 
 
 def euler_step(model: DynamicsModel, v: np.ndarray, dt: float) -> np.ndarray:
-    """One forward Euler step v + g(v) dt."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    v = np.asarray(v, dtype=float)
-    return _check_finite(v + vector_field(model, v) * dt, "euler step")
+    """One forward Euler step v + g(v) dt; ``UnitParams`` checks ``dt > 0``."""
+    return v + vector_field(model, v) * dt
 
 
 def rk4_step(model: DynamicsModel, v: np.ndarray, dt: float) -> np.ndarray:
     """One classical 4th-order Runge-Kutta step."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    v = np.asarray(v, dtype=float)
     k1 = vector_field(model, v)
     k2 = vector_field(model, v + 0.5 * dt * k1)
     k3 = vector_field(model, v + 0.5 * dt * k2)
     k4 = vector_field(model, v + dt * k3)
-    return _check_finite(v + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0, "rk4 step")
+    return v + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 INTEGRATORS = {"euler": euler_step, "rk4": rk4_step}

@@ -62,11 +62,10 @@ def threshold(
 ) -> np.ndarray | float:
     """Per-dimension firing threshold."""
     if rule.variant == "fixed":
-        shape = np.broadcast_shapes(np.shape(g_j), np.shape(p_j))
-        return rule.alpha_thr if shape == () else np.full(shape, rule.alpha_thr, dtype=float)
+        return np.full(np.shape(p_j), rule.alpha_thr, dtype=float)
     if rule.variant == "global_self_gap":
-        return rule.alpha_thr * np.abs(np.asarray(g_j, dtype=float) - p_j)
-    return rule.alpha_thr * np.abs(np.asarray(x_ref_j, dtype=float) - p_j)
+        return rule.alpha_thr * np.abs(g_j - p_j)
+    return rule.alpha_thr * np.abs(x_ref_j - p_j)
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,7 @@ def phi_s(
             out = (np.abs(weighted) ** cond.q).sum(axis=-1) ** (1.0 / cond.q) > theta
     elif cond.variant == "shrinking_ball":
         out = np.linalg.norm(v, axis=-1) < cond.epsilon_spk / (1.0 + t)
-    else:  # disc
-        if model_trace is None:
-            raise ValueError("disc condition needs the linear model trace")
+    else:  # disc; ``UnitParams`` gives it a linear core, so ``model_trace`` is set
         norm = np.linalg.norm(v, axis=-1)
         if model_trace <= 0.0:
             out = norm <= cond.theta_attractor

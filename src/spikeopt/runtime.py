@@ -3,24 +3,26 @@
 A run wires n units to three coordination processes (tensor contraction,
 neighbour manager, high-level selector). A unit is two processes, its spiking
 core and its selector; both are stateless step functions, and the driver owns
-every unit's position, best and activations. The unit's three I/O peripherals
-are calls made by those two: the core calls its receiver before each step and
-its spike handler after it, the selector calls its sender after each
-evaluation.
+every unit's position, best and activations. Configs are checked when they
+load and when ``_build`` turns them into parameter objects; the step
+functions trust what they are given.
 
 The deterministic driver sweeps every process in a fixed order once per step
-over (n, d) population arrays, so equal seeds give bit-identical traces. At
-step t a core reads the contraction of the spikes of step t-2, its own best
-from step t-1, and the global best and neighbourhood computed from the
-selections of step t-2.
+over (n, d) population arrays, so equal seeds give bit-identical traces. A
+core reads its unit's rows of those arrays, and its slice of the
+neighbourhood tensor, directly. At step t a core reads the contraction of
+the spikes of step t-2, its own best from step t-1, and the global best and
+neighbourhood computed from the selections of step t-2.
 
-The concurrent driver runs W = min(n, 2) worker threads, each
-sweeping a contiguous block of units at its own pace, plus two coordination
-threads: one contracts the spike rows into activations, the other turns the
-best rows into the global best and the neighbourhood tensor and publishes
-both as one broadcast. Workers read the latest broadcasts over capacity-1
-latest-wins channels, and before each sweep after the first a worker waits
-for an information broadcast newer than the one it last used.
+The concurrent driver runs W = min(n, 2) worker threads, each sweeping a
+contiguous block of units at its own pace and passing each unit's rows
+through the unit's three I/O peripherals (receiver, spike handler, sender),
+plus two coordination threads: one contracts the spike rows into
+activations, the other turns the best rows into the global best and the
+neighbourhood tensor and publishes both as one broadcast. Workers read the
+latest broadcasts over capacity-1 latest-wins channels, and before each
+sweep after the first a worker waits for an information broadcast newer
+than the one it last used.
 """
 
 from __future__ import annotations
@@ -255,6 +257,8 @@ class RunConfig:
             raise ConfigError(f"spike topology must be one of {SPIKE_TOPOLOGIES}")
         if self.info_topology not in INFO_TOPOLOGIES:
             raise ConfigError(f"info topology must be one of {INFO_TOPOLOGIES}")
+        if self.info_topology == "random_m" and self.info_m is None:
+            raise ConfigError("topology.m must be set for the random_m info topology")
         if not self.units:
             raise ConfigError("at least one unit spec is required")
 
@@ -331,7 +335,8 @@ class RunTrace:
     """Logged output of one run, indexed by logical step (0 .. budget).
 
     ``event_count`` is the number of (unit, dimension) firings whose
-    differential rule fell back to a fixed reset.
+    differential rule fell back to a fixed reset. ``wall_ms[t]`` is the mean
+    time of the core steps of step t in ms, in both drivers (0 at step 0).
     """
 
     config: dict
@@ -400,12 +405,7 @@ class _Tracer:
                 self.snapshots.v_post[t, i] = step.v_post
                 self.snapshots.theta[t, i] = step.theta
 
-    def build(
-        self,
-        cfg: RunConfig,
-        objective: ObjectiveFunction,
-        wall_rows: Optional[np.ndarray] = None,
-    ) -> RunTrace:
+    def build(self, cfg: RunConfig, objective: ObjectiveFunction) -> RunTrace:
         filled = self.unit_best.copy()
         # per-unit running best, then the population running minimum per step
         for t in range(1, filled.shape[0]):
@@ -417,9 +417,6 @@ class _Tracer:
             f_g = np.fmin.accumulate(np.nanmin(filled, axis=1))
         opt = objective.optimum_value
         eps = f_g - opt if opt is not None else np.full_like(f_g, np.nan)
-        if wall_rows is None:
-            with np.errstate(invalid="ignore"):
-                wall_rows = self.wall.mean(axis=1)
         return RunTrace(
             config=cfg.to_dict(),
             mode=cfg.mode,
@@ -427,7 +424,7 @@ class _Tracer:
             eps_f=eps,
             unit_best=filled,
             spikes=self.spikes,
-            wall_ms=wall_rows,
+            wall_ms=self.wall.mean(axis=1),
             evaluations=objective.evaluation_count,
             optimum_value=opt,
             event_count=int(self.fallbacks.sum()),
@@ -524,9 +521,8 @@ def _build(cfg: RunConfig) -> _Built:
         if cfg.info_topology == "full":
             info_topo = coordination.build_full_info(cfg.n)
         else:
-            m = cfg.info_m if cfg.info_m is not None else min(10, cfg.n - 1)
             topo_rng = np.random.default_rng([cfg.seed, 3])
-            info_topo = coordination.build_random_info(cfg.n, m, topo_rng)
+            info_topo = coordination.build_random_info(cfg.n, cfg.info_m, topo_rng)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -576,62 +572,47 @@ def _run_deterministic(built: _Built) -> RunTrace:
     g: Optional[np.ndarray] = None
     nm: Optional[np.ndarray] = None
     A = np.zeros((n, d), dtype=bool)  # contraction of the spikes of step t-1
-    # population stores written row by row by the handlers and the senders
-    S = np.zeros((n, d), dtype=bool)
-    P = np.zeros((n, d))
-    f = np.full(n, np.inf)
-
-    wall_rows = np.zeros(budget + 1)
+    S = np.zeros((n, d), dtype=bool)  # spikes of step t; none before the first step
     stepping: Optional[int] = None  # the unit whose core or selector runs, named by an abort
-
-    def sweep(t: int) -> None:
-        nonlocal a, P_sel, f_sel, g, nm, A, stepping
-        a_next = np.empty((n, d), dtype=bool)
-        # spiking cores, each with its receiver before and its handler after the step
-        for i, params in enumerate(built.units):
-            stepping = i
-            if t == 0:
-                s_i = S[i]  # no spikes before the first step
-            else:
-                P_n = None if nm is None else unit.receiver_step(i, nm)
-                t0 = time.perf_counter()
-                z, u = heuristics.step_variates(built.streams[i], d)
-                step = unit.spiking_core_step(params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n, z, u)
-                tracer.record_core(i, t, step, time.perf_counter() - t0)
-                s_i, X[i] = step.s, step.x
-            (_, S[i]), a_next[i] = unit.spiking_handler_step(i, s_i, A)
-        stepping = None
-        # senders, tensor contraction, neighbour manager, high-level selector
-        A_next = coordination.tensor_contract(built.spike_topology, S)
-        if t > 0:
-            for i in range(n):
-                _, (P[i], f[i]) = unit.sender_step(i, P_sel[i], f_sel[i])
-            nm_next = coordination.neighbour_manager_step(built.info_topology, P)
-            g_next, _ = coordination.high_level_selector_step(gbest, P, f)
-        # selectors
-        P_next = np.empty((n, d))
-        f_next = np.empty(n)
-        for i in range(n):
-            stepping = i
-            p_i = None if t == 0 else P_sel[i]
-            P_next[i], f_next[i] = unit.selector_step(X[i], p_i, f_sel[i], objective)
-            tracer.record_best(i, t, f_next[i])
-        stepping = None
-        # delivery
-        a, A = a_next, A_next
-        P_sel, f_sel = P_next, f_next
-        if t > 0:
-            nm, g = nm_next, g_next.copy()
 
     try:
         for t in range(budget + 1):
-            t0 = time.perf_counter()
-            sweep(t)
-            wall_rows[t] = (time.perf_counter() - t0) * 1000.0
+            # spiking cores, reading and writing their units' rows of the population arrays
+            if t > 0:
+                for i, params in enumerate(built.units):
+                    stepping = i
+                    P_n = None if nm is None else nm[:, :, i]
+                    t0 = time.perf_counter()
+                    z, u = heuristics.step_variates(built.streams[i], d)
+                    step = unit.spiking_core_step(
+                        params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n, z, u
+                    )
+                    tracer.record_core(i, t, step, time.perf_counter() - t0)
+                    S[i], X[i] = step.s, step.x
+                stepping = None
+            # tensor contraction, neighbour manager, high-level selector
+            A_next = coordination.tensor_contract(built.spike_topology, S)
+            if t > 0:
+                nm_next = coordination.neighbour_manager_step(built.info_topology, P_sel)
+                g_next, _ = coordination.high_level_selector_step(gbest, P_sel, f_sel)
+            # selectors
+            P_next = np.empty((n, d))
+            f_next = np.empty(n)
+            for i in range(n):
+                stepping = i
+                p_i = None if t == 0 else P_sel[i]
+                P_next[i], f_next[i] = unit.selector_step(X[i], p_i, f_sel[i], objective)
+                tracer.record_best(i, t, f_next[i])
+            stepping = None
+            # delivery
+            a, A = A, A_next
+            P_sel, f_sel = P_next, f_next
+            if t > 0:
+                nm, g = nm_next, g_next.copy()
     except Exception as exc:  # noqa: BLE001 - any process failure aborts the run
         diagnostic = str(exc) if stepping is None else f"unit {stepping}: {exc!r}"
-        raise RunAbort(diagnostic, tracer.build(cfg, objective, wall_rows)) from exc
-    return tracer.build(cfg, objective, wall_rows)
+        raise RunAbort(diagnostic, tracer.build(cfg, objective)) from exc
+    return tracer.build(cfg, objective)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 A unit holds no state of its own; the drivers keep every unit's position and
 best in population arrays (or, in the concurrent driver, in the loop locals
-of the worker stepping the unit) and pass the unit's rows in. A core step encodes the current position
-around a freshly computed reference point, evaluates the firing predicate per
-dimension, then either integrates the sub-threshold dynamics or applies the
-spike-triggered perturbation, and finally decodes and clips the new position.
-The selector evaluates emitted positions greedily. A core step draws nothing:
-the driver passes it a block of variates drawn from the unit's stream.
+of the worker stepping the unit) and pass the unit's rows in. A core step
+encodes the current position around a freshly computed reference point,
+evaluates the firing predicate per dimension, then either integrates the
+sub-threshold dynamics or applies the spike-triggered perturbation, and
+finally decodes and clips the new position. It draws nothing (the driver
+passes it a block of variates from the unit's stream) and checks only that
+its new state is finite: ``UnitParams`` and the objects it holds check the
+rest when they are built. The selector evaluates emitted positions greedily.
 
-The three I/O peripherals are one-line row functions called by the unit's core
-(the receiver before its step, the spike handler after it) and selector (the
-sender): each is the one place where a unit's vector becomes a row of a
-population matrix, or its slice of a neighbourhood tensor becomes a core input.
+The three I/O peripherals are the concurrent driver's one-line row
+functions: the receiver (a unit's slice of the neighbourhood tensor) before
+its core step, the spike handler after it, and the sender after its
+selector. The deterministic driver indexes its arrays directly.
 """
 
 from __future__ import annotations

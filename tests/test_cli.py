@@ -94,6 +94,7 @@ class TestExitCodes:
             {"unit": {"dynamics": {"dt": float("nan")}}},
             {"unit": {"transform": {"alpha": float("inf")}}},
             {"unit": {"transform": {"weights": [0.2, 0.3, 0.5]}}},
+            {"topology": {"spike": "ring", "info": "random_m", "m": None}},
             {
                 "unit": {
                     "transform": {

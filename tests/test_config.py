@@ -164,6 +164,8 @@ def unit_specs(draw):
 @st.composite
 def run_configs(draw):
     n = draw(st.integers(min_value=2, max_value=200))
+    info = draw(st.sampled_from(INFO_TOPOLOGIES))
+    m = st.integers(min_value=1, max_value=n - 1)
     return RunConfig(
         problem_name=draw(st.sampled_from(BENCHMARK_NAMES)),
         dimension=draw(st.integers(min_value=1, max_value=100)),
@@ -173,8 +175,9 @@ def run_configs(draw):
         mode=draw(st.sampled_from(MODES)),
         log=draw(st.sampled_from(LOG_LEVELS)),
         spike_topology=draw(st.sampled_from(SPIKE_TOPOLOGIES)),
-        info_topology=draw(st.sampled_from(INFO_TOPOLOGIES)),
-        info_m=draw(st.none() | st.integers(min_value=1, max_value=n - 1)),
+        info_topology=info,
+        # m may be left unset only where the topology does not read it
+        info_m=draw(st.none() | m if info == "full" else m),
         units=draw(st.lists(unit_specs(), min_size=1, max_size=3)),
     )
 

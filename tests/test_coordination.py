@@ -232,8 +232,3 @@ class TestNeighbourManager:
         for i in range(n):
             for slot in range(topo.m):
                 assert tuple(pos[slot, :, i]) in rows
-
-    def test_shape_mismatch_is_hard_error(self):
-        topo = build_full_info(3)
-        with pytest.raises(ValueError):
-            neighbour_manager_step(topo, np.zeros((4, 2)))

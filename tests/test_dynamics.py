@@ -1,7 +1,5 @@
 """Vector fields, integrator accuracy orders, and reset behaviour."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -15,6 +13,7 @@ from spikeopt.dynamics import (
     rk4_step,
     vector_field,
 )
+from spikeopt.runtime import ConfigError, RunConfig, UnitSpec, run
 
 ROTATION = LinearModel(A=np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
@@ -68,15 +67,9 @@ class TestEuler:
         assert np.allclose(v, [1.0, -0.01], atol=1e-15)
 
     def test_zero_dt_rejected(self):
-        with pytest.raises(ValueError):
-            euler_step(ROTATION, np.array([1.0, 0.0]), 0.0)
-
-    def test_nonfinite_result_is_hard_error(self):
-        model = LinearModel(A=np.array([[1e308, 0.0], [0.0, 0.0]]))
-        with np.errstate(over="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with pytest.raises(FloatingPointError):
-                euler_step(model, np.array([1e308, 0.0]), 1.0)
+        # the integrators trust dt; the unit's parameters reject it at build
+        with pytest.raises(ConfigError):
+            run(RunConfig(n=4, budget=1, info_m=2, units=[UnitSpec(dt=0.0)]))
 
 
 class TestRK4:

@@ -96,10 +96,6 @@ class TestPhiS:
         assert phi_s(cond, v_in, 0, 0.0, model_trace=1.0) is False
         assert phi_s(cond, np.array([1.2, 1.2]), 0, 0.0, model_trace=1.0) is True
 
-    def test_disc_needs_trace(self):
-        with pytest.raises(ValueError):
-            phi_s(SpikeCondition("disc"), np.zeros(2), 0, 0.0)
-
     def test_shrinking_threshold_never_unfires(self, rng):
         cond = SpikeCondition("abs_threshold")
         for _ in range(100):

@@ -51,6 +51,13 @@ class TestDeterministicRuns:
         assert trace.f_g.shape == (14,)
         assert trace.spikes.shape == (14, 4)
 
+    def test_wall_ms_is_mean_core_time(self):
+        # as in async: no core steps at step 0, a positive mean at every later step
+        trace = run(small_config(budget=6))
+        assert trace.wall_ms.shape == (7,)
+        assert trace.wall_ms[0] == 0.0
+        assert np.all(trace.wall_ms[1:] > 0.0)
+
     def test_identical_seeds_give_identical_traces(self):
         a = run(small_config(problem_name="rastrigin", budget=40))
         b = run(small_config(problem_name="rastrigin", budget=40))
@@ -336,6 +343,7 @@ class TestConfig:
             {"n": 1},
             {"log": "chatty"},
             {"spike_topology": "torus"},
+            {"info_m": None},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

@@ -108,12 +108,6 @@ class TestReferencePoint:
             assert np.all(x_ref >= stackmin - 1e-12)
             assert np.all(x_ref <= stackmax + 1e-12)
 
-    def test_empty_neighbours_rejected(self):
-        with pytest.raises(ValueError):
-            compute_xref(
-                SELF_GLOBAL_NEIGHBOUR_AVERAGE, np.zeros(2), np.zeros(2), neighbours=np.zeros((0, 2))
-            )
-
     def test_weight_count_mismatch(self):
         with pytest.raises(ValueError):
             compute_xref(
