@@ -5,9 +5,9 @@ overwrite silently, readers either block for a value fresher than the one
 they last saw or peek at whatever is present. A run uses two: the
 activation broadcast and the information broadcast (global best and
 neighbourhood tensor). A ``Mailbox`` is the many-to-one variant drained by
-the two coordination loops: every unit puts its spike row into one and its
-best row into the other; one pending value per sender, drained in ascending
-sender order.
+the two coordination loops: once per sweep every worker puts its block's
+spike rows into one and its best rows into the other; one pending value per
+sender, drained in ascending sender order.
 """
 
 from __future__ import annotations

@@ -93,8 +93,8 @@ def write_summary(trace: RunTrace, cfg: RunConfig, path: Path) -> None:
 
 
 def _execute_run(cfg: RunConfig, out_dir: Path, timeout_s: Optional[float]) -> RunTrace:
-    out_dir.mkdir(parents=True, exist_ok=True)
     trace = run(cfg, timeout_s=timeout_s)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
     write_spikes_csv(trace, out_dir / "spikes.csv")
     write_summary(trace, cfg, out_dir / "summary.json")

@@ -7,22 +7,19 @@ every unit's position, best and activations. Configs are checked when they
 load and when ``_build`` turns them into parameter objects; the step
 functions trust what they are given.
 
-The deterministic driver sweeps every process in a fixed order once per step
-over (n, d) population arrays, so equal seeds give bit-identical traces. A
-core reads its unit's rows of those arrays, and its slice of the
-neighbourhood tensor, directly. At step t a core reads the contraction of
-the spikes of step t-2, its own best from step t-1, and the global best and
-neighbourhood computed from the selections of step t-2.
+Both drivers step units only through ``_sweep``: each listed unit's core,
+then its selector, on the unit's rows of (n, d) population arrays. The
+deterministic driver sweeps every unit in a fixed order once per step, so
+equal seeds give bit-identical traces. At step t a core reads the
+contraction of the spikes of step t-2, its own best from step t-1, and the
+global best and neighbourhood computed from the selections of step t-2.
 
 The concurrent driver runs W = min(n, 2) worker threads, each sweeping a
-contiguous block of units at its own pace and passing each unit's rows
-through the unit's three I/O peripherals (receiver, spike handler, sender),
-plus two coordination threads: one contracts the spike rows into
-activations, the other turns the best rows into the global best and the
-neighbourhood tensor and publishes both as one broadcast. Workers read the
-latest broadcasts over capacity-1 latest-wins channels, and before each
-sweep after the first a worker waits for an information broadcast newer
-than the one it last used.
+contiguous block of units on its private arrays and posting the block's
+spike and best rows once per sweep, and two coordination threads, which
+publish the activations and (global best, neighbourhood tensor) as
+latest-wins broadcasts. Before each sweep after the first a worker waits
+for an information broadcast newer than the one it last used.
 """
 
 from __future__ import annotations
@@ -365,7 +362,10 @@ class RunTrace:
 
 
 class _Tracer:
-    """Collects per-(unit, step) records; safe for concurrent writers."""
+    """Collects per-(unit, step) records."""
+
+    # no lock: each [t, i] cell and fallbacks[i] has one writer, the thread that
+    # steps unit i, and build runs after the drivers' threads are joined
 
     def __init__(self, built: "_Built"):
         n, d, budget = built.cfg.n, built.cfg.dimension, built.cfg.budget
@@ -387,23 +387,17 @@ class _Tracer:
                 ),
             )
             self.snapshots.x[0] = built.x0
-        self._lock = threading.Lock()
-
-    def record_best(self, i: int, t: int, f_p: float) -> None:
-        with self._lock:
-            self.unit_best[t, i] = f_p
 
     def record_core(self, i: int, t: int, step: unit.CoreStep, wall_s: float) -> None:
-        with self._lock:
-            self.spikes[t, i] = int(step.s.sum())
-            self.wall[t, i] = wall_s * 1000.0
-            self.fallbacks[i] += step.fallbacks
-            if self.snapshots is not None:
-                self.snapshots.x[t, i] = step.x
-                self.snapshots.s[t, i] = step.s
-                self.snapshots.v_pre[t, i] = step.v_pre
-                self.snapshots.v_post[t, i] = step.v_post
-                self.snapshots.theta[t, i] = step.theta
+        self.spikes[t, i] = int(step.s.sum())
+        self.wall[t, i] = wall_s * 1000.0
+        self.fallbacks[i] += step.fallbacks
+        if self.snapshots is not None:
+            self.snapshots.x[t, i] = step.x
+            self.snapshots.s[t, i] = step.s
+            self.snapshots.v_pre[t, i] = step.v_pre
+            self.snapshots.v_post[t, i] = step.v_post
+            self.snapshots.theta[t, i] = step.theta
 
     def build(self, cfg: RunConfig, objective: ObjectiveFunction) -> RunTrace:
         filled = self.unit_best.copy()
@@ -524,7 +518,7 @@ def _build(cfg: RunConfig) -> _Built:
             topo_rng = np.random.default_rng([cfg.seed, 3])
             info_topo = coordination.build_random_info(cfg.n, cfg.info_m, topo_rng)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"topology: {exc}") from exc
 
     try:
         shared = [_build_heuristics(spec, domain) for spec in cfg.units]
@@ -555,63 +549,61 @@ def _build(cfg: RunConfig) -> _Built:
 # deterministic driver
 
 
+class _UnitFailure(RuntimeError):
+    """A unit's core or selector raised; the message names the unit."""
+
+
+def _sweep(built, tracer, units, t, X, P, f, g, a, nm, S) -> None:
+    """Step the listed units at step t: each unit's core (if t > 0), then its selector.
+
+    Reads and writes the units' rows of the population arrays ``X``, ``P``, ``f`` and ``S`` in
+    place, a unit's core before its selector; ``g`` and ``nm`` of ``None`` mean no broadcast yet.
+    """
+    params, streams, domain, objective = built.units, built.streams, built.domain, built.objective
+    d = X.shape[1]
+    for i in units:
+        try:
+            if t > 0:
+                P_n = None if nm is None else nm[:, :, i]
+                t0 = time.perf_counter()
+                z, u = heuristics.step_variates(streams[i], d)
+                step = unit.spiking_core_step(params[i], domain, t - 1, X[i], P[i], g, a[i], P_n, z, u)
+                tracer.record_core(i, t, step, time.perf_counter() - t0)
+                S[i], X[i] = step.s, step.x
+            P[i], f[i] = unit.selector_step(X[i], P[i] if t > 0 else None, f[i], objective)
+            tracer.unit_best[t, i] = f[i]
+        except Exception as exc:  # noqa: BLE001 - the driver aborts the run
+            raise _UnitFailure(f"unit {i}: {exc!r}") from exc
+
+
 def _run_deterministic(built: _Built) -> RunTrace:
-    cfg, domain, objective = built.cfg, built.domain, built.objective
-    n, d, budget = cfg.n, cfg.dimension, cfg.budget
+    cfg, objective = built.cfg, built.objective
+    n, d = cfg.n, cfg.dimension
     tracer = _Tracer(built)
 
     gbest = coordination.GlobalBest()
-    # what the cores read at step t, delivered at the end of sweep t-1: `X`
-    # holds the positions of step t-1, `a` the contraction of the spikes of
-    # step t-2, `P_sel`/`f_sel` the selections of step t-1, and `g` and `nm`
-    # (the neighbourhood tensor) were computed from the selections of step t-2
+    # what the cores read at step t: `X` and `P`/`f` as step t-1 left them, `a`
+    # from the spikes of step t-2, `g` and `nm` from the selections of step t-2
     X = built.x0.copy()
-    a = np.zeros((n, d), dtype=bool)
-    P_sel = np.zeros((n, d))
-    f_sel = np.full(n, np.inf)
-    g: Optional[np.ndarray] = None
-    nm: Optional[np.ndarray] = None
+    P = np.zeros((n, d))
+    f = np.full(n, np.inf)
+    g = nm = a = None  # nothing delivered yet
     A = np.zeros((n, d), dtype=bool)  # contraction of the spikes of step t-1
     S = np.zeros((n, d), dtype=bool)  # spikes of step t; none before the first step
-    stepping: Optional[int] = None  # the unit whose core or selector runs, named by an abort
 
     try:
-        for t in range(budget + 1):
-            # spiking cores, reading and writing their units' rows of the population arrays
+        for t in range(cfg.budget + 1):
             if t > 0:
-                for i, params in enumerate(built.units):
-                    stepping = i
-                    P_n = None if nm is None else nm[:, :, i]
-                    t0 = time.perf_counter()
-                    z, u = heuristics.step_variates(built.streams[i], d)
-                    step = unit.spiking_core_step(
-                        params, domain, t - 1, X[i], P_sel[i], g, a[i], P_n, z, u
-                    )
-                    tracer.record_core(i, t, step, time.perf_counter() - t0)
-                    S[i], X[i] = step.s, step.x
-                stepping = None
-            # tensor contraction, neighbour manager, high-level selector
-            A_next = coordination.tensor_contract(built.spike_topology, S)
+                # from the selections of step t-1; both are copies (a gather and
+                # `P[i].copy()`), so the sweep's in-place writes leave them alone
+                nm_next = coordination.neighbour_manager_step(built.info_topology, P)
+                g_next, _ = coordination.high_level_selector_step(gbest, P, f)
+            _sweep(built, tracer, range(n), t, X, P, f, g, a, nm, S)
+            a, A = A, coordination.tensor_contract(built.spike_topology, S)
             if t > 0:
-                nm_next = coordination.neighbour_manager_step(built.info_topology, P_sel)
-                g_next, _ = coordination.high_level_selector_step(gbest, P_sel, f_sel)
-            # selectors
-            P_next = np.empty((n, d))
-            f_next = np.empty(n)
-            for i in range(n):
-                stepping = i
-                p_i = None if t == 0 else P_sel[i]
-                P_next[i], f_next[i] = unit.selector_step(X[i], p_i, f_sel[i], objective)
-                tracer.record_best(i, t, f_next[i])
-            stepping = None
-            # delivery
-            a, A = A, A_next
-            P_sel, f_sel = P_next, f_next
-            if t > 0:
-                nm, g = nm_next, g_next.copy()
+                nm, g = nm_next, g_next
     except Exception as exc:  # noqa: BLE001 - any process failure aborts the run
-        diagnostic = str(exc) if stepping is None else f"unit {stepping}: {exc!r}"
-        raise RunAbort(diagnostic, tracer.build(cfg, objective)) from exc
+        raise RunAbort(str(exc), tracer.build(cfg, objective)) from exc
     return tracer.build(cfg, objective)
 
 
@@ -628,8 +620,8 @@ class _AsyncRun:
     """Owns the channels, threads, and failure handling of one concurrent run.
 
     W workers each step a contiguous block of units; two coordination loops
-    turn the units' spike rows into activations, and their best rows into the
-    global best and the neighbourhood tensor.
+    turn the blocks' spike rows into activations, and their best rows into
+    the global best and the neighbourhood tensor.
     """
 
     def __init__(self, built: _Built):
@@ -656,9 +648,9 @@ class _AsyncRun:
 
     # -- failure plumbing
 
-    def fail(self, where: str, exc: Exception) -> None:
+    def fail(self, diagnostic: str) -> None:
         with self._err_lock:
-            self.errors.append(f"{where}: {exc!r}")
+            self.errors.append(diagnostic)
         self.stop.set()
         self.done.set()
 
@@ -670,75 +662,59 @@ class _AsyncRun:
 
     # -- threads
 
-    def worker_loop(self, block: List[int]) -> None:
-        """Sweep a block of units once per step: core, handler, selector, sender.
+    def worker_loop(self, w: int) -> None:
+        """Sweep worker ``w``'s block of its private arrays once per step, then post its rows.
 
-        Before each sweep after the first the worker waits for an information
-        broadcast newer than the one it last used; that wait paces it and
-        leaves the coordination loops their share of the interpreter.
+        Waiting for a fresher information broadcast before each sweep after the
+        first paces the worker and leaves the coordination loops their share.
         """
         built = self.built
-        domain, objective = built.domain, built.objective
-        d = built.cfg.dimension
-        x = {i: built.x0[i] for i in block}
-        a = {}  # each unit's activation row, set by its handler before its first core step
-        p = dict.fromkeys(block)
-        f_p = dict.fromkeys(block, np.inf)
-        i = block[0]
+        n, d = built.cfg.n, built.cfg.dimension
+        block = self.blocks[w]
+        X = built.x0.copy()
+        P = np.zeros((n, d))
+        f = np.full(n, np.inf)
+        S = np.zeros((n, d), dtype=bool)  # no spikes before the first step
+        g = nm = a = None  # no core reads them at step 0
         try:
             info_version = 0
             for t in range(built.cfg.budget + 1):
                 if t > 0:
                     (g, nm), info_version = self.info_bcast.get_fresh(info_version)
                 A, _ = self.A_bcast.peek()
-                for i in block:
-                    if t == 0:
-                        s = np.zeros(d, dtype=bool)  # no spikes before the first step
-                    else:
-                        P_n = unit.receiver_step(i, nm)
-                        t0 = time.perf_counter()
-                        z, u = heuristics.step_variates(built.streams[i], d)
-                        step = unit.spiking_core_step(
-                            built.units[i], domain, t - 1, x[i], p[i], g, a[i], P_n, z, u
-                        )
-                        self.tracer.record_core(i, t, step, time.perf_counter() - t0)
-                        s, x[i] = step.s, step.x
-                    row, a[i] = unit.spiking_handler_step(i, s, A)
-                    self.spike_mailbox.put(*row)
-                    p[i], f_p[i] = unit.selector_step(x[i], p[i], f_p[i], objective)
-                    self.tracer.record_best(i, t, f_p[i])
-                    self.best_mailbox.put(*unit.sender_step(i, p[i], f_p[i]))
+                _sweep(built, self.tracer, block, t, X, P, f, g, a, nm, S)
+                a = A
+                # indexing by the block's list copies its rows
+                self.spike_mailbox.put(w, (S[block],))
+                self.best_mailbox.put(w, (P[block], f[block]))
                 if self.stop.is_set():
                     return
             self._worker_finished()
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001 - reported as run abort
-            self.fail(f"unit {i}", exc)
+            self.fail(str(exc) if isinstance(exc, _UnitFailure) else f"worker {w}: {exc!r}")
 
-    def coordination_loop(self, mailbox: Mailbox, publish: Callable[[list], None], where: str) -> None:
-        """Keep every unit's latest row from ``mailbox``; once all have reported, publish."""
-        rows: list = [None] * self.built.cfg.n
-        waiting = set(range(self.built.cfg.n))
+    def coordination_loop(self, mailbox: Mailbox, publish: Callable[..., None], where: str) -> None:
+        """Keep every worker's latest block rows from ``mailbox``; once all have reported, publish."""
+        # by worker, not by arrival: contiguous ascending blocks make worker order unit order
+        latest: list = [None] * len(self.blocks)
         try:
             while not self.stop.is_set():
-                for sender, row in mailbox.drain():
-                    rows[sender] = row
-                    waiting.discard(sender)
-                if not waiting:
-                    publish(rows)
+                for w, rows in mailbox.drain():
+                    latest[w] = rows
+                if None not in latest:
+                    publish(*(np.concatenate(column) for column in zip(*latest)))
         except Closed:
             pass
         except Exception as exc:  # noqa: BLE001
-            self.fail(where, exc)
+            self.fail(f"{where}: {exc!r}")
 
-    def publish_activations(self, spike_rows: list) -> None:
-        self.A_bcast.put(coordination.tensor_contract(self.built.spike_topology, np.array(spike_rows)))
+    def publish_activations(self, S: np.ndarray) -> None:
+        self.A_bcast.put(coordination.tensor_contract(self.built.spike_topology, S))
 
-    def publish_information(self, best_rows: list) -> None:
+    def publish_information(self, P: np.ndarray, f: np.ndarray) -> None:
         """The global best and the neighbourhood tensor, from the same bests."""
-        P = np.array([p for p, _ in best_rows])
-        f = np.array([f_p for _, f_p in best_rows])
         nm = coordination.neighbour_manager_step(self.built.info_topology, P)
         g, _ = coordination.high_level_selector_step(self.gbest, P, f)
         self.info_bcast.put((g, nm))
@@ -747,7 +723,7 @@ class _AsyncRun:
 
     def execute(self, timeout_s: Optional[float]) -> RunTrace:
         # W workers plus two coordination loops, whatever n is
-        jobs = [(self.worker_loop, (block,)) for block in self.blocks] + [
+        jobs = [(self.worker_loop, (w,)) for w in range(len(self.blocks))] + [
             (self.coordination_loop, (self.spike_mailbox, self.publish_activations, "tensor contraction")),
             (self.coordination_loop, (self.best_mailbox, self.publish_information, "information exchange")),
         ]

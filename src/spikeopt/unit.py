@@ -1,20 +1,20 @@
 """One population member as plain step functions: spiking core, selector, and I/O rows.
 
 A unit holds no state of its own; the drivers keep every unit's position and
-best in population arrays (or, in the concurrent driver, in the loop locals
-of the worker stepping the unit) and pass the unit's rows in. A core step
-encodes the current position around a freshly computed reference point,
-evaluates the firing predicate per dimension, then either integrates the
-sub-threshold dynamics or applies the spike-triggered perturbation, and
-finally decodes and clips the new position. It draws nothing (the driver
-passes it a block of variates from the unit's stream) and checks only that
-its new state is finite: ``UnitParams`` and the objects it holds check the
-rest when they are built. The selector evaluates emitted positions greedily.
+best in population arrays (each concurrent worker in private ones) and pass
+the unit's rows in. A core step encodes the current position around a
+freshly computed reference point, evaluates the firing predicate per
+dimension, then either integrates the sub-threshold dynamics or applies the
+spike-triggered perturbation, and finally decodes and clips the new
+position. It draws nothing (the driver passes it a block of variates from
+the unit's stream) and checks only that its new state is finite:
+``UnitParams`` and the objects it holds check the rest when they are built.
+The selector evaluates emitted positions greedily.
 
-The three I/O peripherals are the concurrent driver's one-line row
-functions: the receiver (a unit's slice of the neighbourhood tensor) before
-its core step, the spike handler after it, and the sender after its
-selector. The deterministic driver indexes its arrays directly.
+The three I/O row functions (receiver, spike handler, sender) are what is
+left of a unit's peripherals. No driver calls them, since both index their
+arrays directly; the benchmark's layer tracer still wraps them, and they go
+once it counts work instead of calls (ROADMAP item 1).
 """
 
 from __future__ import annotations

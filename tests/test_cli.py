@@ -103,6 +103,15 @@ class TestExitCodes:
                     }
                 }
             },
+            # errors raised while the run is built, not while the config loads
+            {"topology": {"spike": "ring", "info": "random_m", "m": 5}},
+            {"n": 2},
+            {
+                "unit": {
+                    "dynamics": {"model": "izhikevich", "params": {}},
+                    "spike": {"condition": "disc", "condition_params": {}},
+                }
+            },
         ],
     )
     def test_malformed_config_is_one_line_exit_two(self, tmp_path, capsys, overrides):

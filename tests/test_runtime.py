@@ -303,10 +303,11 @@ class TestConcurrentRuns:
         assert info.value.diagnostic.startswith("unit 0: ")
         assert "boom" in info.value.diagnostic
 
-    def test_deterministic_core_failure_names_its_unit(self, monkeypatch):
+    @pytest.mark.parametrize("mode", ["det", "async"])
+    def test_core_failure_names_its_unit(self, monkeypatch, mode):
         import spikeopt.runtime as rt
 
-        built = rt._build(small_config(budget=5))
+        built = rt._build(small_config(mode=mode, budget=5))
         real = rt.unit.spiking_core_step
 
         def melting(params, *args):
@@ -316,9 +317,66 @@ class TestConcurrentRuns:
 
         monkeypatch.setattr(rt.unit, "spiking_core_step", melting)
         with pytest.raises(RunAbort) as info:
-            rt._step(built)
+            rt._step(built, timeout_s=30)
         assert info.value.diagnostic.startswith("unit 2: ")
         assert "core melted" in info.value.diagnostic
+
+    def test_workers_post_one_block_per_sweep(self, monkeypatch):
+        # each worker posts one spike block and one best block per sweep,
+        # whatever the size of its block
+        import spikeopt.runtime as rt
+
+        senders = []
+        real_put = rt.Mailbox.put
+
+        def counting_put(self, sender, value):
+            senders.append(sender)
+            real_put(self, sender, value)
+
+        monkeypatch.setattr(rt.Mailbox, "put", counting_put)
+        cfg = small_config(mode="async", n=8, budget=5)
+        run(cfg, timeout_s=60)
+        assert len(senders) == 2 * 2 * (cfg.budget + 1)
+        assert set(senders) == {0, 1}
+
+    def test_blocks_are_published_in_unit_order(self):
+        # worker 1's bests arrive before worker 0's; the information loop must
+        # still publish them in unit order, not in arrival order
+        import spikeopt.runtime as rt
+
+        arun = rt._AsyncRun(rt._build(small_config(mode="async")))
+        assert arun.blocks == [[0, 1], [2, 3]]
+        P, f = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+        published = []
+
+        def publish(P_pub, f_pub):
+            published.append((P_pub, f_pub))
+            arun.stop.set()
+
+        mailbox = arun.best_mailbox
+        real_drain, drained = mailbox.drain, threading.Event()
+
+        def drain():
+            items = real_drain()
+            drained.set()
+            return items
+
+        mailbox.drain = drain
+        mailbox.put(1, (P[[2, 3]], f[[2, 3]]))
+        loop = threading.Thread(
+            target=arun.coordination_loop, args=(mailbox, publish, "information exchange"), daemon=True
+        )
+        loop.start()
+        try:
+            assert drained.wait(5.0)
+            mailbox.put(0, (P[[0, 1]], f[[0, 1]]))
+            loop.join(timeout=5.0)
+            assert not loop.is_alive()
+        finally:
+            mailbox.close()
+        [(P_pub, f_pub)] = published
+        np.testing.assert_array_equal(P_pub, P)
+        np.testing.assert_array_equal(f_pub, f)
 
 
 class TestConfig:
